@@ -47,7 +47,6 @@ from .losses import (
     srgw_objective,
 )
 from .metrics import (
-    EvalReport,
     aligned_plan_error,
     ari,
     connectivity_error,
@@ -86,7 +85,6 @@ __all__ = [
     "CompositeLoss",
     "ConnectivityMatrix",
     "CostKernel",
-    "EvalReport",
     "ExperimentConfig",
     "FitResult",
     "LOSS_KINDS",

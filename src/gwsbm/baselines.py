@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .losses import CompositeLoss, CostKernel, closed_form_connectivity, make_loss
+from .losses import CompositeLoss, CostKernel, make_loss
 from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
 from .solver import elbo_value
 
@@ -39,12 +39,11 @@ class VemState:
     elbo_history: list[float]
 
 
-def _m_step(kernel: CostKernel, adj, resp: np.ndarray):
+def _m_step(kernel: CostKernel, resp: np.ndarray):
     w = resp.mean(axis=0)
     w = np.maximum(w, ALPHA_FLOOR)
     props = Proportions(w / w.sum())
-    conn = closed_form_connectivity(adj, resp, make_loss("bernoulli_nll"))
-    return props, conn
+    return props, kernel.connectivity(resp)
 
 
 def vem_fit(
@@ -74,7 +73,7 @@ def vem_fit(
     kernel = CostKernel(adj, loss)
     if resp.shape[0] != kernel.n:
         raise ValueError("responsibilities and adjacency disagree on n")
-    props, conn = _m_step(kernel, adj, resp)
+    props, conn = _m_step(kernel, resp)
     elbo = elbo_value(resp, adj, conn, props)
     history = [elbo]
     for _ in range(max_iters):
@@ -89,7 +88,7 @@ def vem_fit(
             resp = new
             if delta < 1e-6:
                 break
-        props, conn = _m_step(kernel, adj, resp)
+        props, conn = _m_step(kernel, resp)
         new_elbo = elbo_value(resp, adj, conn, props)
         history.append(new_elbo)
         done = abs(new_elbo - elbo) <= tol * max(abs(elbo), 1e-15)

@@ -81,7 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a config-driven experiment")
     p_exp.add_argument("kind", choices=("ari-sweep", "lambda-sweep", "consistency"))
     p_exp.add_argument("--config", required=True, help="JSON config path")
-    p_exp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_exp.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for sweep cells; consistency ladders run in one process",
+    )
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
@@ -164,7 +169,7 @@ def _cmd_experiment(args) -> int:
     elif args.kind == "lambda-sweep":
         rows = run_lambda_sweep(config, jobs=args.jobs)
     else:
-        rows = run_consistency(config, jobs=args.jobs)
+        rows = run_consistency(config)
     print(f"wrote {config.output_path}: {len(rows)} rows")
     return 0
 

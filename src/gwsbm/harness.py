@@ -10,24 +10,16 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import graphio
-from .initplans import labels_to_plan, spectral_init
+from .initplans import spectral_init
 from .losses import TransportPlan, make_loss
-from .metrics import (
-    EvalReport,
-    aligned_plan_error,
-    ari,
-    connectivity_error,
-    hard_labels,
-    label_accuracy,
-    selected_k,
-)
+from .metrics import aligned_plan_error, ari, connectivity_error, hard_labels, selected_k
 from .sbm import build_scenario, make_proportions, sample_graph
 from .solver import SolverOptions, bcd_fit, fw_solve
 from .baselines import vem_fit
@@ -182,10 +174,6 @@ class ResultRow:
         return ",".join(str(v) for v in values)
 
 
-def _seed_for(base: int, tag: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([base, tag])
-
-
 def _fit_one_seed(
     config: ExperimentConfig,
     p_in: float,
@@ -198,8 +186,6 @@ def _fit_one_seed(
     props = make_proportions(config.proportions, config.k_true)
     adj, labels_star = sample_graph(conn_star, props, n, seed)
     plan0 = spectral_init(adj, config.k_search, seed)
-    import time
-
     plan = None
     if config.method in ("srgw_nll", "srgw_l2"):
         loss = make_loss("bernoulli_nll" if config.method == "srgw_nll" else "squared")
@@ -233,12 +219,6 @@ def _fit_one_seed(
         if theta_hat is None
         else connectivity_error(theta_hat, conn_star, labels_hat, labels_star)
     )
-    report = EvalReport(
-        ari=ari(labels_hat, labels_star),
-        k_hat=k_hat,
-        theta_error=theta_err,
-        label_accuracy=label_accuracy(labels_hat, labels_star),
-    )
     row = ResultRow(
         scenario=config.scenario,
         method=config.method,
@@ -249,9 +229,9 @@ def _fit_one_seed(
         p_out=config.p_out,
         sparsity=sparsity,
         seed=seed,
-        ari=report.ari,
-        k_hat=report.k_hat,
-        theta_error=report.theta_error,
+        ari=ari(labels_hat, labels_star),
+        k_hat=k_hat,
+        theta_error=theta_err,
         final_loss=final_loss,
         runtime_ms=runtime_ms,
     )
@@ -260,10 +240,6 @@ def _fit_one_seed(
 
 def _cells_dir(output_path: str | Path) -> Path:
     return Path(str(output_path) + ".cells")
-
-
-def _write_cell(path: Path, rows: list[ResultRow]) -> None:
-    graphio._atomic_write_text(path, "\n".join(r.as_csv() for r in rows) + "\n")
 
 
 def _compute_cell(args) -> tuple[str, list[str]]:
@@ -295,15 +271,12 @@ def _run_cells(config: ExperimentConfig, cells: list[tuple[str, float, float]], 
         if not (cells_dir / f"{key}.csv").exists():
             pending.append((config.to_dict(), key, p_in, sparsity))
     n_jobs = _jobs(jobs)
-    if pending:
-        if n_jobs > 1:
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                for key, lines in pool.map(_compute_cell, pending):
-                    graphio._atomic_write_text(cells_dir / f"{key}.csv", "\n".join(lines) + "\n")
-        else:
-            for item in pending:
-                key, lines = _compute_cell(item)
-                graphio._atomic_write_text(cells_dir / f"{key}.csv", "\n".join(lines) + "\n")
+    with ExitStack() as stack:
+        mapper = map
+        if pending and n_jobs > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=n_jobs)).map
+        for key, lines in mapper(_compute_cell, pending):
+            graphio._atomic_write_text(cells_dir / f"{key}.csv", "\n".join(lines) + "\n")
     body = [f"# schema_version: {SCHEMA_VERSION}", ",".join(RESULT_COLUMNS)]
     for key, _, _ in cells:
         body.extend((cells_dir / f"{key}.csv").read_text().strip().split("\n"))
@@ -365,19 +338,18 @@ def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[
     return _parse_rows(config.output_path)
 
 
-def run_consistency(config: ExperimentConfig, jobs: int | None = None) -> list[dict]:
+def run_consistency(config: ExperimentConfig) -> list[dict]:
     """Estimation error ladder over growing graphs.
 
     For each size in ``n_grid`` and each seed: (a) solve the plan at the
     true connectivity from a spectral start and record the L1 distance to
     the planted hard plan (up to relabeling); (b) run the full alternating
-    fit without penalty and record the aligned connectivity error.
+    fit without penalty and record the aligned connectivity error.  The
+    ladder runs in one process.
     """
     config.validate()
     if not config.n_grid:
         raise ValueError("consistency experiment needs n_grid")
-    import time
-
     p_in = config.p_in_grid[0]
     loss = make_loss(config.loss)
     records = []

@@ -12,6 +12,14 @@ be assembled from three matrix products instead of a four-index tensor:
 ``f1(A) @ rowsum``, ``f2(theta) @ colsum`` and ``h1(A) @ T @ h2(theta).T``,
 followed by an exact correction that removes the diagonal (i == j) terms.
 The total cost is O(n^2 k + n k^2) time and O(n^2) memory.
+
+The connectivity minimizing the objective at a fixed plan has a closed
+form, implemented once: :func:`pair_summaries` reduces the plan and
+``h1(A)`` to per-block-pair sums and pair masses, and
+:func:`theta_from_summaries` maps their ratio back into the loss domain.
+:func:`closed_form_connectivity`, :meth:`CostKernel.connectivity` (which
+reuses the kernel's cached ``h1(A)``) and the solver's merge score all
+go through these two functions.
 """
 
 from __future__ import annotations
@@ -247,6 +255,12 @@ class CostKernel:
         """Quadratic assignment objective <cost(t), t>."""
         return float(np.vdot(self.cost(t, theta), t))
 
+    def connectivity(self, t: np.ndarray) -> ConnectivityMatrix:
+        """Closed-form connectivity at plan ``t``, from the cached ``h1(A)``."""
+        s, d, _ = pair_summaries(self.ha, t)
+        theta, inactive = theta_from_summaries(s, d, self.loss)
+        return ConnectivityMatrix(theta, inactive=inactive)
+
 
 def cost_application(adj, plan, conn, loss: CompositeLoss) -> np.ndarray:
     """Matrix M with M[i, k] = sum_{j != i, l} loss(A[i, j], theta[k, l]) T[j, l]."""
@@ -273,44 +287,48 @@ def srgw_objective(adj, plan, conn, loss: CompositeLoss) -> float:
     return float(np.vdot(cost_application(adj, t, conn, loss), t))
 
 
-def closed_form_connectivity(
-    adj,
-    plan,
-    loss: CompositeLoss,
-    exclude_diagonal: bool = True,
-    denominator_floor: float = DENOMINATOR_FLOOR,
-) -> ConnectivityMatrix:
+def pair_summaries(ha: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Self-pair-free plan-weighted summaries behind the closed-form connectivity.
+
+    Returns ``(s, d, q)`` where ``s[k, l]`` is the plan-weighted sum of
+    ``h1(A)`` (given as ``ha``) over node pairs i != j, ``d[k, l]`` the
+    matching pair mass, and ``q`` the cluster masses.  Both matrices are
+    additive under cluster merges: adding row and column j into i yields
+    the summaries of the plan with cluster j poured into cluster i.
+    """
+    q = t.sum(axis=0)
+    s = t.T @ ha @ t - t.T @ (np.diagonal(ha)[:, None] * t)
+    d = np.outer(q, q) - t.T @ t
+    return 0.5 * (s + s.T), 0.5 * (d + d.T), q
+
+
+def theta_from_summaries(
+    s: np.ndarray, d: np.ndarray, loss: CompositeLoss
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form connectivity values and inactive mask from pair summaries.
+
+    Each cell is ``theta_inverse_map`` of the weighted mean ``s / d``,
+    clipped into the loss clamp interval.  Cells whose pair mass is at most
+    ``DENOMINATOR_FLOOR`` carry no information: they are set to 0.5 and
+    flagged in the returned mask.
+    """
+    inactive = d <= DENOMINATOR_FLOOR
+    ratio = np.where(inactive, 1.0, s / np.where(inactive, 1.0, d))
+    theta = np.clip(np.asarray(loss.theta_inverse_map(ratio), dtype=np.float64), *loss.theta_clamp)
+    return np.where(inactive, 0.5, theta), inactive
+
+
+def closed_form_connectivity(adj, plan, loss: CompositeLoss) -> ConnectivityMatrix:
     """Connectivity matrix minimizing the objective at a fixed plan.
 
-    Each cell is ``theta_inverse_map`` of the plan-weighted mean of
-    ``h1(A)`` over node pairs, clipped into the loss clamp interval.  With
-    ``exclude_diagonal`` (the default) both the weighted sum and the pair
-    mass drop i == j terms, matching :func:`srgw_objective` exactly; the
-    variant that keeps them uses the plain outer product of cluster masses
-    as denominator.  Cells whose pair mass falls below ``denominator_floor``
-    carry no information: they are set to 0.5 and flagged in ``inactive``.
+    Both the weighted sum and the pair mass drop i == j terms, matching
+    :func:`srgw_objective` exactly; see :func:`theta_from_summaries` for
+    the cell rule.
     """
     t = _plan_matrix(plan)
     a = _adjacency_matrix(adj)
     if t.shape[0] != a.shape[0]:
         raise ValueError("plan and adjacency disagree on n")
-    ha = np.asarray(loss.h1(a), dtype=np.float64)
-    q = t.sum(axis=0)
-    s = t.T @ ha @ t
-    d = np.outer(q, q)
-    if exclude_diagonal:
-        s -= t.T @ (np.diagonal(ha)[:, None] * t)
-        d -= t.T @ t
-    s = 0.5 * (s + s.T)
-    d = 0.5 * (d + d.T)
-    inactive = d <= denominator_floor
-    ratio = np.where(inactive, 1.0, s / np.where(inactive, 1.0, d))
-    if loss.kind != "squared":
-        # h1 is nonnegative on binary data; clip floating-point dust
-        ratio = np.maximum(ratio, 0.0)
-    theta = np.asarray(loss.theta_inverse_map(ratio), dtype=np.float64)
-    lo, hi = loss.theta_clamp
-    theta = np.clip(theta, lo, hi)
-    theta = np.where(inactive, 0.5, theta)
-    theta = 0.5 * (theta + theta.T)
+    s, d, _ = pair_summaries(np.asarray(loss.h1(a), dtype=np.float64), t)
+    theta, inactive = theta_from_summaries(s, d, loss)
     return ConnectivityMatrix(theta, inactive=inactive)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .losses import TransportPlan, _plan_matrix
+from .losses import _plan_matrix
 from .sbm import ConnectivityMatrix, Labels
 
 #: Clusters with mass above this threshold count as selected.
@@ -19,17 +18,6 @@ EXHAUSTIVE_K = 8
 
 #: Value used to pad connectivity matrices of unequal size before alignment.
 PAD_VALUE = 0.5
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-fit evaluation summary against planted ground truth."""
-
-    ari: float
-    k_hat: int
-    theta_error: float
-    label_accuracy: float
-    notes: str = ""
 
 
 def _label_values(labels) -> np.ndarray:

@@ -7,8 +7,7 @@ Graphs are undirected, simple (zero diagonal) and stored dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,15 +97,19 @@ class ConnectivityMatrix:
         return np.clip(self.raw, self.prob_margin, 1.0 - self.prob_margin)
 
     def has_distinct_profiles(self) -> bool:
-        """True when no two clusters share an identical row (and column).
+        """True when no two live clusters share an identical row (and column).
 
         Identical profiles make clusters statistically indistinguishable,
-        so a fit whose connectivity fails this check is degenerate.
+        so a fit whose connectivity fails this check is degenerate.  Rows
+        whose cells are all ``inactive`` belong to clusters without mass;
+        they hold the neutral placeholder and are left out of the check.
         """
-        arr = self.raw
-        for a in range(self.k):
-            for b in range(a + 1, self.k):
-                if np.array_equal(arr[a], arr[b]):
+        rows = self.raw
+        if self.inactive is not None:
+            rows = rows[~self.inactive.all(axis=1)]
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                if np.array_equal(rows[a], rows[b]):
                     return False
         return True
 
@@ -252,8 +255,6 @@ def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:
         raise ValueError("labels and adjacency disagree on n")
     k = labels.k
     z = labels.values
-    counts = np.zeros((k, k))
-    pairs = np.zeros((k, k))
     onehot = np.zeros((adj.n, k))
     onehot[np.arange(adj.n), z] = 1.0
     counts = onehot.T @ adj.entries @ onehot

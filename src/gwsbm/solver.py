@@ -28,22 +28,22 @@ quantity (see :func:`entropic_objective`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
 from .losses import (
-    DENOMINATOR_FLOOR,
     CompositeLoss,
     CostKernel,
     TransportPlan,
     _plan_matrix,
-    closed_form_connectivity,
     make_loss,
+    pair_summaries,
+    theta_from_summaries,
 )
 from .metrics import hard_labels, selected_k
-from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
+from .sbm import ConnectivityMatrix, Labels, Proportions
 
 
 class SolverError(RuntimeError):
@@ -85,8 +85,9 @@ class FitResult:
 
     ``loss_history`` records the penalized objective once per outer
     iteration and is non-increasing.  ``k_hat`` counts clusters whose mass
-    exceeds 1e-6.  ``degenerate`` is set when the fitted connectivity has
-    indistinguishable clusters (e.g. on an empty graph).
+    exceeds 1e-6.  ``degenerate`` is set when the graph has no edges or
+    two live clusters share a connectivity profile (see
+    :meth:`ConnectivityMatrix.has_distinct_profiles`).
     """
 
     plan: TransportPlan
@@ -123,19 +124,11 @@ def penalty_linearization(plan, sparsity: float, mass_floor: float = 1e-16) -> n
     return np.broadcast_to(row, t.shape).copy()
 
 
-def _pair_summaries(kernel: CostKernel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Self-pair-free summaries behind the closed-form connectivity.
-
-    Returns ``(s, d, q)`` where ``s[k, l]`` is the plan-weighted sum of
-    ``h1(A)`` over pairs i != j, ``d[k, l]`` the matching pair mass, and
-    ``q`` the cluster masses.  Both matrices are additive under cluster
-    merges: adding row and column j into i yields the summaries of the
-    plan with cluster j poured into cluster i.
-    """
-    q = t.sum(axis=0)
-    s = t.T @ kernel.ha @ t - t.T @ (kernel.ha_diag[:, None] * t)
-    d = np.outer(q, q) - t.T @ t
-    return 0.5 * (s + s.T), 0.5 * (d + d.T), q
+def _penalized(kernel: CostKernel, t: np.ndarray, conn: ConnectivityMatrix, sparsity: float) -> float:
+    """Penalized objective of plan ``t`` at connectivity ``conn``."""
+    pen = kernel.objective(t, kernel.loss.prepare_theta(conn))
+    pen += sparsity * column_mass_penalty(t)
+    return pen
 
 
 def _summary_score(
@@ -148,19 +141,12 @@ def _summary_score(
 ) -> float:
     """Penalized objective at the closed-form connectivity of the summaries.
 
-    Mirrors :func:`gwsbm.losses.closed_form_connectivity` cell by cell
-    (denominator floor, dead-cell placeholder, clamping), then evaluates
-    ``f1_term + sum(f2(theta) d - h2(theta) s)`` which equals the
-    quadratic objective because rows of the plan all carry mass 1/n.
+    Takes the connectivity from :func:`gwsbm.losses.theta_from_summaries`,
+    then evaluates ``f1_term + sum(f2(theta) d - h2(theta) s)`` which
+    equals the quadratic objective because rows of the plan all carry
+    mass 1/n.
     """
-    inactive = d <= DENOMINATOR_FLOOR
-    ratio = np.where(inactive, 1.0, s / np.where(inactive, 1.0, d))
-    if loss.kind != "squared":
-        ratio = np.maximum(ratio, 0.0)
-    theta = np.asarray(loss.theta_inverse_map(ratio), dtype=np.float64)
-    lo, hi = loss.theta_clamp
-    theta = np.clip(theta, lo, hi)
-    theta = np.where(inactive, 0.5, theta)
+    theta, _ = theta_from_summaries(s, d, loss)
     f2t = np.asarray(loss.f2(theta), dtype=np.float64)
     h2t = np.asarray(loss.h2(theta), dtype=np.float64)
     quad = f1_term + float(np.sum(f2t * d - h2t * s))
@@ -176,31 +162,32 @@ def _merge_rowcol(mat: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def _merge_step(
     kernel: CostKernel,
-    adj,
-    loss: CompositeLoss,
     t: np.ndarray,
+    conn: ConnectivityMatrix,
+    pen: float,
     opts: SolverOptions,
     on_iterate=None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, ConnectivityMatrix, float]:
     """Pour one cluster into another while that strictly lowers the score.
 
-    The score is the penalized objective with the connectivity refit to
-    the candidate plan, so an accepted merge is a guaranteed descent step
-    of the full alternating scheme.  Candidates are ranked with the cheap
-    summary formula above; the best one is re-scored through the exact
-    objective before being accepted, which keeps the loss history
-    provably non-increasing regardless of floating-point dust.
+    ``conn`` and ``pen`` are the closed-form connectivity of ``t`` and the
+    penalized objective there; the plan, connectivity and penalized
+    objective after the last accepted merge are returned.  The score is
+    the penalized objective with the connectivity refit to the candidate
+    plan, so an accepted merge is a guaranteed descent step of the full
+    alternating scheme.  Candidates are ranked with the cheap summary
+    formula above; the best one is re-scored through the exact objective
+    before being accepted, which keeps the loss history provably
+    non-increasing regardless of floating-point dust.
     """
     lam = opts.sparsity
-    conn = closed_form_connectivity(adj, t, loss)
-    pen = kernel.objective(t, loss.prepare_theta(conn)) + lam * column_mass_penalty(t)
     f1_term = float(kernel.fa.sum() - kernel.fa_diag.sum()) / float(kernel.n) ** 2
     while True:
-        s, d, q = _pair_summaries(kernel, t)
+        s, d, q = pair_summaries(kernel.ha, t)
         live = np.flatnonzero(q > 1e-12)
         if live.size < 2:
-            return t
-        current = _summary_score(s, d, q, loss, lam, f1_term)
+            return t, conn, pen
+        current = _summary_score(s, d, q, kernel.loss, lam, f1_term)
         best_gain, best_pair = 0.0, None
         for a in range(live.size):
             i = int(live[a])
@@ -210,7 +197,7 @@ def _merge_step(
                     _merge_rowcol(s, i, j),
                     _merge_rowcol(d, i, j),
                     np.delete(q + (np.arange(q.size) == i) * q[j], j),
-                    loss,
+                    kernel.loss,
                     lam,
                     f1_term,
                 )
@@ -218,17 +205,16 @@ def _merge_step(
                 if gain > best_gain:
                     best_gain, best_pair = gain, (i, j)
         if best_pair is None:
-            return t
+            return t, conn, pen
         i, j = best_pair
         merged = t.copy()
         merged[:, i] += merged[:, j]
         merged[:, j] = 0.0
-        merged_conn = closed_form_connectivity(adj, merged, loss)
-        merged_pen = kernel.objective(merged, loss.prepare_theta(merged_conn))
-        merged_pen += lam * column_mass_penalty(merged)
+        merged_conn = kernel.connectivity(merged)
+        merged_pen = _penalized(kernel, merged, merged_conn, lam)
         if not merged_pen < pen:
-            return t
-        t, pen = merged, merged_pen
+            return t, conn, pen
+        t, conn, pen = merged, merged_conn, merged_pen
         if on_iterate is not None:
             on_iterate(t, pen)
 
@@ -399,16 +385,14 @@ def bcd_fit(
     if t.shape[0] != kernel.n:
         raise ValueError("plan and adjacency disagree on n")
     history: list[float] = []
-    conn = closed_form_connectivity(adj, t, loss)
+    conn = kernel.connectivity(t)
     prev = None
     for _ in range(opts.bcd_max_iters):
-        theta = loss.prepare_theta(conn)
-        t = _mm_core(kernel, theta, t, opts, on_iterate)
+        t = _mm_core(kernel, loss.prepare_theta(conn), t, opts, on_iterate)
+        conn = kernel.connectivity(t)
+        pen = _penalized(kernel, t, conn, opts.sparsity)
         if opts.sparsity > 0.0:
-            t = _merge_step(kernel, adj, loss, t, opts, on_iterate)
-        conn = closed_form_connectivity(adj, t, loss)
-        pen = kernel.objective(t, loss.prepare_theta(conn))
-        pen += opts.sparsity * column_mass_penalty(t)
+            t, conn, pen = _merge_step(kernel, t, conn, pen, opts, on_iterate)
         _check_finite(pen, "bcd_fit")
         history.append(pen)
         if prev is not None and abs(prev - pen) <= opts.bcd_rel_tol * max(abs(prev), 1e-15):
@@ -423,7 +407,7 @@ def bcd_fit(
         k_hat=selected_k(plan),
         labels=hard_labels(plan),
         runtime_ms=runtime_ms,
-        degenerate=not conn.has_distinct_profiles(),
+        degenerate=not kernel.a.any() or not conn.has_distinct_profiles(),
     )
 
 

@@ -288,6 +288,20 @@ class TestCli:
         z_true = read_labels(labels, k=2)
         assert ari(z_hat, z_true) == 1.0
 
+    def test_readme_quick_start_fit_is_not_degenerate(self, tmp_path):
+        """The pruned clusters of a clean 3-block fit must not tie it as degenerate."""
+        graph = tmp_path / "graph.txt"
+        sample = ["sample", "--scenario", "assortative", "--n", "300", "--k", "3",
+                  "--p-in", "0.25", "--p-out", "0.03", "--seed", "0", "--out", str(graph)]
+        assert cli_dispatch(sample) == 0
+        outdir = tmp_path / "fit"
+        fit = ["fit", "--graph", str(graph), "--k", "10", "--loss", "bernoulli_nll",
+               "--lambda", "auto", "--seed", "0", "--out", str(outdir)]
+        assert cli_dispatch(fit) == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["k_hat"] == 3
+        assert report["degenerate"] is False
+
     def test_fit_rejects_negative_penalty(self, tmp_path):
         graph = tmp_path / "g.txt"
         cli_dispatch(

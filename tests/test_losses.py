@@ -9,6 +9,7 @@ import oracles
 from gwsbm import (
     AdjacencyMatrix,
     ConnectivityMatrix,
+    CostKernel,
     LOSS_KINDS,
     TransportPlan,
     closed_form_connectivity,
@@ -228,17 +229,20 @@ class TestClosedFormConnectivity:
         assert conn.inactive[1, 1] and conn.inactive[0, 1] and conn.inactive[2, 2]
         assert conn.raw[1, 1] == 0.5 and conn.raw[0, 2] == 0.5
 
-    def test_diagonal_inclusion_variant(self):
-        """Without the exclusion the denominator is the plain mass product."""
+    def test_kernel_connectivity_is_the_same_formula(self):
+        """The kernel's cached h1(A) gives exactly the module function's result."""
         rng = np.random.default_rng(23)
-        adj = oracles.random_binary_graph(rng, 6)
-        plan = oracles.random_plan(rng, 6, 2)
-        t = plan.matrix
-        conn = closed_form_connectivity(adj, plan, make_loss("squared"), exclude_diagonal=False)
-        q = t.sum(axis=0)
-        s = t.T @ adj.entries @ t
-        expected = 0.5 * (s + s.T) / np.outer(q, q)
-        np.testing.assert_allclose(conn.raw, expected, atol=1e-12)
+        for kind in LOSS_KINDS:
+            loss = make_loss(kind)
+            adj = oracles.graph_for_loss(rng, 9, kind)
+            t = oracles.random_plan(rng, 9, 4).matrix.copy()
+            t[:, 3] = 0.0  # a dead column exercises the inactive cells
+            t[:, 0] += 1.0 / 9 - t.sum(axis=1)
+            expected = closed_form_connectivity(adj, t, loss)
+            got = CostKernel(adj, loss).connectivity(t)
+            assert np.array_equal(got.raw, expected.raw)
+            assert np.array_equal(got.inactive, expected.inactive)
+            assert expected.inactive[3].all()
 
     def test_always_symmetric(self):
         rng = np.random.default_rng(29)

@@ -54,6 +54,16 @@ def test_distinct_profiles_flag():
     # a 2-cluster hub makes both rows (p_in, p_in): indistinguishable
     assert not build_scenario("hub", 2, 0.2, 0.03).has_distinct_profiles()
     assert not ConnectivityMatrix(np.full((2, 2), 0.4)).has_distinct_profiles()
+    # dead clusters: all-inactive rows hold the 0.5 placeholder and are ignored
+    theta = np.full((4, 4), 0.5)
+    theta[:2, :2] = [[0.3, 0.05], [0.05, 0.4]]
+    dead = np.ones((4, 4), dtype=bool)
+    dead[:2, :2] = False
+    assert ConnectivityMatrix(theta, inactive=dead).has_distinct_profiles()
+    # ...but two live clusters that tie still flag
+    tied = theta.copy()
+    tied[:2, :2] = 0.3
+    assert not ConnectivityMatrix(tied, inactive=dead).has_distinct_profiles()
 
 
 def test_unbalanced_proportions_values():

@@ -12,7 +12,6 @@ from gwsbm import (
     SolverOptions,
     TransportPlan,
     bcd_fit,
-    brute_force_srgw,
     closed_form_connectivity,
     column_mass_penalty,
     elbo_value,
@@ -30,10 +29,10 @@ from gwsbm import (
     srgw_objective,
     uniform_plan,
 )
-from gwsbm.losses import CostKernel
+from gwsbm.losses import CostKernel, pair_summaries
 from gwsbm.metrics import ari
 from gwsbm.sbm import Labels, balanced_proportions, build_scenario, sample_graph
-from gwsbm.solver import _merge_rowcol, _merge_step, _pair_summaries, _summary_score
+from gwsbm.solver import _merge_rowcol, _merge_step, _summary_score
 
 
 def one_edge_instance():
@@ -211,7 +210,7 @@ class TestClusterMerges:
             plan = oracles.random_plan(rng, 12, 3)
             t = plan.matrix
             lam = 0.03
-            s, d, q = _pair_summaries(kernel, t)
+            s, d, q = pair_summaries(kernel.ha, t)
             f1_term = float(kernel.fa.sum() - kernel.fa_diag.sum()) / 144.0
             score = _summary_score(s, d, q, loss, lam, f1_term)
             conn = closed_form_connectivity(adj, t, loss)
@@ -223,11 +222,11 @@ class TestClusterMerges:
         adj = oracles.random_binary_graph(rng, 10)
         kernel = CostKernel(adj, make_loss("bernoulli_nll"))
         t = oracles.random_plan(rng, 10, 4).matrix
-        s, d, q = _pair_summaries(kernel, t)
+        s, d, q = pair_summaries(kernel.ha, t)
         merged = t.copy()
         merged[:, 1] += merged[:, 3]
         merged = np.delete(merged, 3, axis=1)
-        s2, d2, q2 = _pair_summaries(kernel, merged)
+        s2, d2, q2 = pair_summaries(kernel.ha, merged)
         np.testing.assert_allclose(_merge_rowcol(s, 1, 3), s2, atol=1e-12)
         np.testing.assert_allclose(_merge_rowcol(d, 1, 3), d2, atol=1e-12)
         np.testing.assert_allclose(np.delete(q + (np.arange(4) == 1) * q[3], 3), q2, atol=1e-14)
@@ -239,18 +238,24 @@ class TestClusterMerges:
         opts = SolverOptions(sparsity=3 / 120)
         conn = closed_form_connectivity(adj, t, loss)
         before = srgw_objective(adj, t, conn, loss) + opts.sparsity * column_mass_penalty(t)
-        out = _merge_step(kernel, adj, loss, t, opts)
+        out, out_conn, out_pen = _merge_step(kernel, t, conn, before, opts)
         assert selected_k(TransportPlan(out)) == 2
         conn2 = closed_form_connectivity(adj, out, loss)
         after = srgw_objective(adj, out, conn2, loss) + opts.sparsity * column_mass_penalty(out)
         assert after < before
+        # the returned connectivity and score are those of the returned plan
+        assert np.array_equal(out_conn.raw, conn2.raw)
+        assert out_pen == pytest.approx(after, abs=1e-12)
 
     def test_merge_is_noop_without_penalty(self):
         adj, t = self.make_split_state()
         loss = make_loss("bernoulli_nll")
         kernel = CostKernel(adj, loss)
-        out = _merge_step(kernel, adj, loss, t, SolverOptions(sparsity=0.0))
+        conn = closed_form_connectivity(adj, t, loss)
+        pen = srgw_objective(adj, t, conn, loss)
+        out, out_conn, out_pen = _merge_step(kernel, t, conn, pen, SolverOptions(sparsity=0.0))
         assert np.array_equal(out, t)
+        assert out_conn is conn and out_pen == pen
 
 
 class TestAlternatingFit:
