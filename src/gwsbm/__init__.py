@@ -68,7 +68,6 @@ from .sbm import (
 )
 from .solver import (
     FitResult,
-    SolverOptions,
     bcd_fit,
     column_mass_penalty,
     elbo_value,
@@ -91,7 +90,6 @@ __all__ = [
     "Labels",
     "Proportions",
     "ResultRow",
-    "SolverOptions",
     "TransportPlan",
     "VemState",
     "aligned_plan_error",

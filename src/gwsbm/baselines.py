@@ -265,14 +265,13 @@ def brute_force_srgw(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> tuple[f
     iu, ju = np.triu_indices(n, 1)
     aij = adj.entries[iu, ju]
     f1a = float(np.asarray(loss.f1(aij), dtype=np.float64).sum())
-    h1a = np.asarray(loss.h1(aij), dtype=np.float64)
     best_val = np.inf
     best_z = None
     for startv in range(0, count, _CHUNK):
         z = _assignment_digits(startv, min(startv + _CHUNK, count), n, k)
         zi = z[:, iu]
         zj = z[:, ju]
-        pair = (f2t[zi, zj] - h1a[None, :] * h2t[zi, zj]).sum(axis=1)
+        pair = (f2t[zi, zj] - aij[None, :] * h2t[zi, zj]).sum(axis=1)
         vals = 2.0 * (f1a + pair) / n**2
         arg = int(np.argmin(vals))
         if vals[arg] < best_val:

@@ -37,7 +37,7 @@ from .sbm import (
     sample_graph,
 )
 from .selftest import run_selftest
-from .solver import SolverOptions, bcd_fit, fw_solve
+from .solver import bcd_fit, fw_solve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,11 +109,9 @@ def _cmd_fit(args) -> int:
         sparsity = auto_sparsity(args.k, adj.n)
     else:
         sparsity = float(args.sparsity)
-        if sparsity < 0:
-            raise ValueError("penalty strength must be nonnegative")
     loss = make_loss(args.loss)
     plan0 = spectral_init(adj, args.k, args.seed)
-    result = bcd_fit(adj, loss, plan0, SolverOptions(sparsity=sparsity))
+    result = bcd_fit(adj, loss, plan0, sparsity=sparsity)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graphio.write_labels(result.labels, out / "labels.csv")

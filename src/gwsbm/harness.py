@@ -9,7 +9,6 @@ the recorded wall-clock times is deterministic for a fixed config.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -21,7 +20,7 @@ from .initplans import spectral_init
 from .losses import TransportPlan, make_loss
 from .metrics import aligned_plan_error, ari, connectivity_error, hard_labels, selected_k
 from .sbm import build_scenario, make_proportions, sample_graph
-from .solver import SolverOptions, bcd_fit, fw_solve
+from .solver import _check_sparsity, bcd_fit, fw_solve
 from .baselines import vem_fit
 
 SCHEMA_VERSION = 1
@@ -100,11 +99,14 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if self.sparsity_grid is not None:
-            grid = list(self.sparsity_grid)
-            if any(x < 0 for x in grid) or grid != sorted(grid):
-                raise ValueError("sparsity grid must be nonnegative and ascending")
-        if isinstance(self.sparsity, str) and self.sparsity != "auto":
-            raise ValueError("sparsity must be a number, 'auto', or null")
+            grid = [_check_sparsity(x) for x in self.sparsity_grid]
+            if grid != sorted(grid):
+                raise ValueError("sparsity grid must be ascending")
+        if isinstance(self.sparsity, str):
+            if self.sparsity != "auto":
+                raise ValueError("sparsity must be a number, 'auto', or null")
+        elif self.sparsity is not None:
+            _check_sparsity(self.sparsity)
 
     def resolved_sparsity(self, n: int | None = None) -> float:
         if self.sparsity == "auto":
@@ -189,8 +191,7 @@ def _fit_one_seed(
     plan = None
     if config.method in ("srgw_nll", "srgw_l2"):
         loss = make_loss("bernoulli_nll" if config.method == "srgw_nll" else "squared")
-        opts = SolverOptions(sparsity=sparsity)
-        result = bcd_fit(adj, loss, plan0, opts)
+        result = bcd_fit(adj, loss, plan0, sparsity=sparsity)
         plan = result.plan
         labels_hat = result.labels
         k_hat = result.k_hat
@@ -255,13 +256,6 @@ def _compute_cell(args) -> tuple[str, list[str]]:
     return key, lines
 
 
-def _jobs(jobs: int | None) -> int:
-    env = os.environ.get("SRGW_SBM_JOBS")
-    if env:
-        return max(1, int(env))
-    return max(1, jobs or 1)
-
-
 def _run_cells(config: ExperimentConfig, cells: list[tuple[str, float, float]], jobs: int | None):
     """Compute missing cells (optionally in parallel) and merge shards."""
     cells_dir = _cells_dir(config.output_path)
@@ -270,7 +264,7 @@ def _run_cells(config: ExperimentConfig, cells: list[tuple[str, float, float]], 
     for key, p_in, sparsity in cells:
         if not (cells_dir / f"{key}.csv").exists():
             pending.append((config.to_dict(), key, p_in, sparsity))
-    n_jobs = _jobs(jobs)
+    n_jobs = max(1, jobs or 1)
     with ExitStack() as stack:
         mapper = map
         if pending and n_jobs > 1:
@@ -362,7 +356,7 @@ def run_consistency(config: ExperimentConfig) -> list[dict]:
             start = time.perf_counter()
             plan_hat = fw_solve(adj, loss, conn_star, plan0)
             plan_err = aligned_plan_error(plan_hat, labels_star)
-            result = bcd_fit(adj, loss, plan0, SolverOptions(sparsity=0.0))
+            result = bcd_fit(adj, loss, plan0)
             theta_err = connectivity_error(
                 result.connectivity, conn_star, result.labels, labels_star
             )

@@ -2,24 +2,25 @@
 
 Every supported loss decomposes as
 
-    loss(a, b) = f1(a) + f2(b) - h1(a) * h2(b)
+    loss(a, b) = f1(a) + f2(b) - a * h2(b),    with f1(0) = 0,
 
 which lets the cost application
 
     M[i, k] = sum_{j != i} sum_l loss(A[i, j], theta[k, l]) * T[j, l]
 
 be assembled from three matrix products instead of a four-index tensor:
-``f1(A) @ rowsum``, ``f2(theta) @ colsum`` and ``h1(A) @ T @ h2(theta).T``,
-followed by an exact correction that removes the diagonal (i == j) terms.
-The total cost is O(n^2 k + n k^2) time and O(n^2) memory.
+``f1(A) @ rowsum``, ``f2(theta) @ colsum`` and ``A @ T @ h2(theta).T``.
+Adjacency matrices have a zero diagonal and ``f1(0) = 0``, so of the
+diagonal (i == j) terms those products include only the ``f2`` part is
+nonzero, and one exact correction removes it.  The total cost is
+O(n^2 k + n k^2) time and O(n^2) memory.
 
 The connectivity minimizing the objective at a fixed plan has a closed
-form, implemented once: :func:`pair_summaries` reduces the plan and
-``h1(A)`` to per-block-pair sums and pair masses, and
-:func:`theta_from_summaries` maps their ratio back into the loss domain.
-:func:`closed_form_connectivity`, :meth:`CostKernel.connectivity` (which
-reuses the kernel's cached ``h1(A)``) and the solver's merge score all
-go through these two functions.
+form, implemented once: :func:`pair_summaries` reduces the plan and A to
+per-block-pair sums and pair masses, and :func:`theta_from_summaries`
+maps their ratio back into the loss domain.
+:func:`closed_form_connectivity`, :meth:`CostKernel.connectivity` and the
+solver's merge score all go through these two functions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .sbm import AdjacencyMatrix, ConnectivityMatrix
+from .sbm import PROB_MARGIN, AdjacencyMatrix, ConnectivityMatrix
 
 LOSS_KINDS = ("squared", "bernoulli_nll", "poisson_nll", "exponential_nll")
 
@@ -40,23 +41,20 @@ ROW_SUM_TOL = 1e-10
 #: Pair-mass floor below which a closed-form connectivity cell is inactive.
 DENOMINATOR_FLOOR = 1e-12
 
-_MARGIN = 1e-6
-
 
 @dataclass(frozen=True)
 class CompositeLoss:
     """A decomposable inner loss together with its parameter domain.
 
     ``b_lo``/``b_hi`` bound the open domain of the second argument;
-    ``theta_clamp`` is the closed interval closed-form connectivity updates
-    are clipped into; ``theta_inverse_map`` turns a weighted mean of
-    ``h1(a)`` values into the optimal second argument.
+    ``theta_clamp`` is the closed interval connectivity values are clipped
+    into; ``theta_inverse_map`` turns a weighted mean of first arguments
+    into the optimal second argument.
     """
 
     kind: str
     f1: Callable[[np.ndarray], np.ndarray]
     f2: Callable[[np.ndarray], np.ndarray]
-    h1: Callable[[np.ndarray], np.ndarray]
     h2: Callable[[np.ndarray], np.ndarray]
     b_lo: float
     b_hi: float
@@ -67,7 +65,7 @@ class CompositeLoss:
         """Evaluate loss(a, b) elementwise."""
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        return self.f1(a) + self.f2(b) - self.h1(a) * self.h2(b)
+        return self.f1(a) + self.f2(b) - a * self.h2(b)
 
     def contains(self, values) -> bool:
         """True when all values lie strictly inside the parameter domain."""
@@ -77,28 +75,21 @@ class CompositeLoss:
     def prepare_theta(self, conn) -> np.ndarray:
         """Extract loss-appropriate connectivity values.
 
-        ``ConnectivityMatrix`` inputs are clamped into the loss domain
-        (raw values pass through for the squared loss, whose domain is all
-        of R).  Plain arrays are taken as-is and must already be valid,
-        which signals the need for clamping upstream.
+        ``ConnectivityMatrix`` inputs are clipped into ``theta_clamp``.
+        Plain arrays are taken as-is and must already be valid, which
+        signals the need for clamping upstream.
         """
         if isinstance(conn, ConnectivityMatrix):
-            if self.kind == "squared":
-                vals = conn.raw
-            elif self.kind == "bernoulli_nll":
-                vals = conn.entries
-            else:
-                vals = np.maximum(conn.raw, conn.prob_margin)
-        else:
-            vals = np.asarray(conn, dtype=np.float64)
-            if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-                raise ValueError("connectivity values must form a square matrix")
-            if not self.contains(vals):
-                raise ValueError(
-                    f"connectivity entries escape the {self.kind} domain; "
-                    "clamp them upstream"
-                )
-        return np.asarray(vals, dtype=np.float64)
+            return np.clip(conn.raw, *self.theta_clamp)
+        vals = np.asarray(conn, dtype=np.float64)
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise ValueError("connectivity values must form a square matrix")
+        if not self.contains(vals):
+            raise ValueError(
+                f"connectivity entries escape the {self.kind} domain; "
+                "clamp them upstream"
+            )
+        return vals
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
@@ -120,7 +111,6 @@ def make_loss(kind: str) -> CompositeLoss:
             kind=kind,
             f1=lambda a: a**2,
             f2=lambda b: b**2,
-            h1=_identity,
             h2=lambda b: 2.0 * b,
             b_lo=-np.inf,
             b_hi=np.inf,
@@ -132,36 +122,33 @@ def make_loss(kind: str) -> CompositeLoss:
             kind=kind,
             f1=_zeros_like,
             f2=lambda b: -np.log1p(-b),
-            h1=_identity,
             h2=lambda b: np.log(b) - np.log1p(-b),
             b_lo=0.0,
             b_hi=1.0,
             theta_inverse_map=_identity,
-            theta_clamp=(_MARGIN, 1.0 - _MARGIN),
+            theta_clamp=(PROB_MARGIN, 1.0 - PROB_MARGIN),
         )
     if kind == "poisson_nll":
         return CompositeLoss(
             kind=kind,
             f1=lambda a: gammaln(np.asarray(a, dtype=np.float64) + 1.0),
             f2=_identity,
-            h1=_identity,
             h2=np.log,
             b_lo=0.0,
             b_hi=np.inf,
             theta_inverse_map=_identity,
-            theta_clamp=(_MARGIN, np.inf),
+            theta_clamp=(PROB_MARGIN, np.inf),
         )
     if kind == "exponential_nll":
         return CompositeLoss(
             kind=kind,
             f1=_zeros_like,
             f2=lambda b: -np.log(b),
-            h1=_identity,
             h2=lambda b: -b,
             b_lo=0.0,
             b_hi=np.inf,
-            theta_inverse_map=lambda x: 1.0 / np.maximum(x, _MARGIN),
-            theta_clamp=(_MARGIN, 1.0 / _MARGIN),
+            theta_inverse_map=lambda x: 1.0 / np.maximum(x, PROB_MARGIN),
+            theta_clamp=(PROB_MARGIN, np.inf),
         )
     raise ValueError(f"unknown loss kind: {kind!r}")
 
@@ -213,30 +200,25 @@ def _plan_matrix(plan) -> np.ndarray:
 
 
 def _adjacency_matrix(adj) -> np.ndarray:
-    if isinstance(adj, AdjacencyMatrix):
-        return adj.entries
-    return np.asarray(adj, dtype=np.float64)
+    """Entries of an adjacency matrix; raw arrays are validated on the way."""
+    if not isinstance(adj, AdjacencyMatrix):
+        adj = AdjacencyMatrix(adj)
+    return adj.entries
 
 
 class CostKernel:
     """Caches the per-graph arrays needed to apply the pairwise cost.
 
-    Building the kernel evaluates ``f1`` and ``h1`` on the full adjacency
-    matrix once; afterwards each :meth:`cost` call only pays the matrix
-    products that depend on the current plan and connectivity.
+    Building the kernel evaluates ``f1`` on the full adjacency matrix once;
+    afterwards each :meth:`cost` call only pays the matrix products that
+    depend on the current plan and connectivity.
     """
 
     def __init__(self, adj, loss: CompositeLoss):
-        a = _adjacency_matrix(adj)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency must be square")
         self.loss = loss
-        self.n = a.shape[0]
-        self.a = a
-        self.fa = np.asarray(loss.f1(a), dtype=np.float64)
-        self.ha = np.asarray(loss.h1(a), dtype=np.float64)
-        self.fa_diag = np.diagonal(self.fa).copy()
-        self.ha_diag = np.diagonal(self.ha).copy()
+        self.a = _adjacency_matrix(adj)
+        self.n = self.a.shape[0]
+        self.fa = np.asarray(loss.f1(self.a), dtype=np.float64)
 
     def cost(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Apply the cost tensor to a plan, excluding i == j terms exactly."""
@@ -244,11 +226,9 @@ class CostKernel:
         h2t = np.asarray(self.loss.h2(theta), dtype=np.float64)
         rows = t.sum(axis=1)
         cols = t.sum(axis=0)
-        m = (self.fa @ rows)[:, None] + (f2t @ cols)[None, :] - (self.ha @ t) @ h2t.T
-        # remove the j == i contribution that the products above include
-        m -= self.fa_diag[:, None] * rows[:, None]
+        m = (self.fa @ rows)[:, None] + (f2t @ cols)[None, :] - (self.a @ t) @ h2t.T
+        # remove the j == i terms; with A[i, i] = 0 and f1(0) = 0 only f2's remain
         m -= t @ f2t.T
-        m += self.ha_diag[:, None] * (t @ h2t.T)
         return m
 
     def objective(self, t: np.ndarray, theta: np.ndarray) -> float:
@@ -256,8 +236,8 @@ class CostKernel:
         return float(np.vdot(self.cost(t, theta), t))
 
     def connectivity(self, t: np.ndarray) -> ConnectivityMatrix:
-        """Closed-form connectivity at plan ``t``, from the cached ``h1(A)``."""
-        s, d, _ = pair_summaries(self.ha, t)
+        """Closed-form connectivity at plan ``t``."""
+        s, d, _ = pair_summaries(self.a, t)
         theta, inactive = theta_from_summaries(s, d, self.loss)
         return ConnectivityMatrix(theta, inactive=inactive)
 
@@ -287,17 +267,18 @@ def srgw_objective(adj, plan, conn, loss: CompositeLoss) -> float:
     return float(np.vdot(cost_application(adj, t, conn, loss), t))
 
 
-def pair_summaries(ha: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pair_summaries(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Self-pair-free plan-weighted summaries behind the closed-form connectivity.
 
-    Returns ``(s, d, q)`` where ``s[k, l]`` is the plan-weighted sum of
-    ``h1(A)`` (given as ``ha``) over node pairs i != j, ``d[k, l]`` the
-    matching pair mass, and ``q`` the cluster masses.  Both matrices are
-    additive under cluster merges: adding row and column j into i yields
-    the summaries of the plan with cluster j poured into cluster i.
+    Returns ``(s, d, q)`` where ``s[k, l]`` is the plan-weighted sum of the
+    adjacency entries ``a`` over node pairs i != j (the zero diagonal of
+    ``a`` drops the i == j terms), ``d[k, l]`` the matching pair mass, and
+    ``q`` the cluster masses.  Both matrices are additive under cluster
+    merges: adding row and column j into i yields the summaries of the plan
+    with cluster j poured into cluster i.
     """
     q = t.sum(axis=0)
-    s = t.T @ ha @ t - t.T @ (np.diagonal(ha)[:, None] * t)
+    s = t.T @ a @ t
     d = np.outer(q, q) - t.T @ t
     return 0.5 * (s + s.T), 0.5 * (d + d.T), q
 
@@ -329,6 +310,6 @@ def closed_form_connectivity(adj, plan, loss: CompositeLoss) -> ConnectivityMatr
     a = _adjacency_matrix(adj)
     if t.shape[0] != a.shape[0]:
         raise ValueError("plan and adjacency disagree on n")
-    s, d, _ = pair_summaries(np.asarray(loss.h1(a), dtype=np.float64), t)
+    s, d, _ = pair_summaries(a, t)
     theta, inactive = theta_from_summaries(s, d, loss)
     return ConnectivityMatrix(theta, inactive=inactive)

@@ -13,7 +13,7 @@ from .sbm import ConnectivityMatrix, Labels
 #: Clusters with mass above this threshold count as selected.
 MASS_TOL = 1e-6
 
-#: Exhaustive permutation alignment is used up to this many clusters.
+#: Connectivity alignment is exhaustive up to this many clusters.
 EXHAUSTIVE_K = 8
 
 #: Value used to pad connectivity matrices of unequal size before alignment.
@@ -152,8 +152,9 @@ def aligned_plan_error(plan, labels_star) -> float:
     """L1 distance from a plan to the planted hard plan, up to relabeling.
 
     Compares against the plan that puts each node's 1/n mass on its
-    planted cluster, minimized over cluster permutations (exhaustively up
-    to 8 clusters, otherwise via maximum-agreement matching).
+    planted cluster, minimized over cluster permutations.  The distance
+    splits by column, so the best permutation solves a linear assignment
+    on ``C[p, q] = sum_i |T[i, p] - target[i, q]|``, exactly for every k.
     """
     t = _plan_matrix(plan)
     z = _label_values(labels_star)
@@ -164,18 +165,6 @@ def aligned_plan_error(plan, labels_star) -> float:
         raise ValueError("plan has fewer clusters than the labels use")
     target = np.zeros((n, k))
     target[np.arange(n), z] = 1.0 / n
-    if k <= EXHAUSTIVE_K:
-        best = np.inf
-        for perm in itertools.permutations(range(k)):
-            err = float(np.abs(t[:, perm] - target).sum())
-            best = min(best, err)
-        return best
-    z_hat = np.argmax(t, axis=1)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (z_hat, z), 1)
-    rows, cols = linear_sum_assignment(-confusion)
-    perm = np.arange(k)
-    perm[rows] = cols
-    inv = np.empty(k, dtype=np.int64)
-    inv[perm] = np.arange(k)
-    return float(np.abs(t[:, inv] - target).sum())
+    cost = np.abs(t[:, :, None] - target[:, None, :]).sum(axis=0)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default margin used to keep connectivity entries away from {0, 1} so that
+#: Margin that keeps connectivity entries away from {0, 1} so that
 #: log-based losses stay finite.
-DEFAULT_PROB_MARGIN = 1e-6
+PROB_MARGIN = 1e-6
 
 SCENARIO_KINDS = ("assortative", "disassortative", "hub")
 
@@ -61,13 +61,12 @@ class ConnectivityMatrix:
 
     ``raw`` keeps the values exactly as supplied (or as produced by a
     closed-form update); ``entries`` exposes the same values clamped into
-    ``[prob_margin, 1 - prob_margin]``, which is what log-based Bernoulli
+    ``[PROB_MARGIN, 1 - PROB_MARGIN]``, which is what log-based Bernoulli
     computations consume.  ``inactive`` optionally marks cells whose update
     had no supporting pair mass.
     """
 
     raw: np.ndarray
-    prob_margin: float = DEFAULT_PROB_MARGIN
     inactive: np.ndarray | None = None
 
     def __post_init__(self):
@@ -78,8 +77,6 @@ class ConnectivityMatrix:
             raise ValueError("connectivity entries must be finite")
         if not np.allclose(arr, arr.T, rtol=0.0, atol=0.0):
             raise ValueError("connectivity matrix must be symmetric")
-        if not 0.0 < self.prob_margin < 0.5:
-            raise ValueError("prob_margin must lie in (0, 0.5)")
         object.__setattr__(self, "raw", _readonly(arr))
         if self.inactive is not None:
             mask = np.asarray(self.inactive, dtype=bool)
@@ -93,8 +90,8 @@ class ConnectivityMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """Values clamped into [prob_margin, 1 - prob_margin]."""
-        return np.clip(self.raw, self.prob_margin, 1.0 - self.prob_margin)
+        """Values clamped into [PROB_MARGIN, 1 - PROB_MARGIN]."""
+        return np.clip(self.raw, PROB_MARGIN, 1.0 - PROB_MARGIN)
 
     def has_distinct_profiles(self) -> bool:
         """True when no two live clusters share an identical row (and column).

@@ -29,7 +29,6 @@ from .sbm import (
     unbalanced_proportions,
 )
 from .solver import (
-    SolverOptions,
     bcd_fit,
     column_mass_penalty,
     elbo_value,
@@ -152,10 +151,10 @@ def _checks():
         seen.append(float(np.max(np.abs(t.sum(axis=1) - 1.0 / t.shape[0]))))
 
     plan0 = spectral_init(adj, 3, seed=1)
-    mm_solve(adj, loss, theta, plan0, SolverOptions(sparsity=0.02), on_iterate=watch)
+    mm_solve(adj, loss, theta, plan0, sparsity=0.02, on_iterate=watch)
     yield ("solver iterates stay feasible", max(seen) <= 1e-10)
 
-    result = bcd_fit(adj, loss, plan0, SolverOptions(sparsity=3 / 80))
+    result = bcd_fit(adj, loss, plan0, sparsity=3 / 80)
     hist = result.loss_history
     mono = all(hist[i + 1] <= hist[i] + 1e-10 for i in range(len(hist) - 1))
     yield ("alternating fit has a non-increasing penalized objective", mono)

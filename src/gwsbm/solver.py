@@ -3,10 +3,10 @@
 Three nested loops:
 
 * :func:`fw_solve` runs Frank-Wolfe on the quadratic assignment objective
-  plus an optional linear cost over plans whose rows each carry 1/n mass.
-  The linear minimization oracle is row-wise (mass goes to the cheapest
-  cluster), and the step size comes from an exact quadratic fit through
-  the objective at step sizes {0, 1/2, 1}.
+  over plans whose rows each carry 1/n mass.  The linear minimization
+  oracle is row-wise (mass goes to the cheapest cluster), and the step
+  size comes from an exact quadratic fit through the objective at step
+  sizes {0, 1/2, 1}.
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
   masses.  Each round linearizes the concave penalty at the current plan
   and hands the resulting linear cost to Frank-Wolfe (warm-started), which
@@ -19,6 +19,10 @@ Three nested loops:
   cannot see such moves (the square-root penalty gain is second order in
   any single row), so without them the solver parks in plans that split
   one true cluster across several columns.
+
+The sparsity strength is the only setting; the iteration caps and
+relative stopping tolerances of the three loops are the module constants
+below.
 
 ELBO helpers for the Bernoulli block model live here too, because the
 penalized objective and the variational bound are two views of the same
@@ -50,33 +54,23 @@ class SolverError(RuntimeError):
     """Raised when an objective turns non-finite mid-solve."""
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Iteration caps and tolerances for the three solver loops.
+FW_MAX_ITERS = 500
+FW_REL_TOL = 1e-9
+MM_MAX_ITERS = 50
+MM_REL_TOL = 1e-7
+BCD_MAX_ITERS = 50
+BCD_REL_TOL = 1e-8
 
-    ``sparsity`` is the strength of the square-root cluster-mass penalty
-    (0 disables it); ``mass_floor`` guards the penalty linearization
-    against division by zero on empty clusters.
-    """
+#: Cluster-mass floor that keeps the penalty linearization finite on empty clusters.
+MASS_FLOOR = 1e-16
 
-    fw_max_iters: int = 500
-    fw_rel_tol: float = 1e-9
-    mm_max_iters: int = 50
-    mm_rel_tol: float = 1e-7
-    bcd_max_iters: int = 50
-    bcd_rel_tol: float = 1e-8
-    sparsity: float = 0.0
-    mass_floor: float = 1e-16
 
-    def __post_init__(self):
-        if min(self.fw_max_iters, self.mm_max_iters, self.bcd_max_iters) < 1:
-            raise ValueError("iteration caps must be positive")
-        if min(self.fw_rel_tol, self.mm_rel_tol, self.bcd_rel_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.sparsity < 0.0:
-            raise ValueError("sparsity must be nonnegative")
-        if self.mass_floor <= 0.0:
-            raise ValueError("mass_floor must be positive")
+def _check_sparsity(sparsity) -> float:
+    """The penalty strength as a float; it must be finite and nonnegative."""
+    sparsity = float(sparsity)
+    if not (np.isfinite(sparsity) and sparsity >= 0.0):
+        raise ValueError(f"sparsity must be finite and nonnegative, got {sparsity}")
+    return sparsity
 
 
 @dataclass
@@ -109,26 +103,22 @@ def column_mass_penalty(plan) -> float:
     return float(np.sum(np.sqrt(np.maximum(q, 0.0))))
 
 
-def penalty_linearization(plan, sparsity: float, mass_floor: float = 1e-16) -> np.ndarray:
+def penalty_linearization(plan, sparsity: float) -> np.ndarray:
     """Row-constant tangent cost of the penalty at the current plan.
 
-    Column k of the result equals ``sparsity / (2 sqrt(max(q_k, mass_floor)))``,
+    Column k of the result equals ``sparsity / (2 sqrt(max(q_k, MASS_FLOOR)))``,
     the exact gradient of the penalty wherever masses exceed the floor.
     Nearly dead clusters therefore price any returning mass prohibitively.
     """
     t = _plan_matrix(plan)
-    if sparsity < 0.0:
-        raise ValueError("sparsity must be nonnegative")
-    q = np.maximum(t.sum(axis=0), mass_floor)
-    row = sparsity / (2.0 * np.sqrt(q))
+    q = np.maximum(t.sum(axis=0), MASS_FLOOR)
+    row = _check_sparsity(sparsity) / (2.0 * np.sqrt(q))
     return np.broadcast_to(row, t.shape).copy()
 
 
-def _penalized(kernel: CostKernel, t: np.ndarray, conn: ConnectivityMatrix, sparsity: float) -> float:
-    """Penalized objective of plan ``t`` at connectivity ``conn``."""
-    pen = kernel.objective(t, kernel.loss.prepare_theta(conn))
-    pen += sparsity * column_mass_penalty(t)
-    return pen
+def _penalized(kernel: CostKernel, t: np.ndarray, theta: np.ndarray, sparsity: float) -> float:
+    """Penalized objective of plan ``t`` at connectivity values ``theta``."""
+    return kernel.objective(t, theta) + sparsity * column_mass_penalty(t)
 
 
 def _summary_score(
@@ -165,7 +155,8 @@ def _merge_step(
     t: np.ndarray,
     conn: ConnectivityMatrix,
     pen: float,
-    opts: SolverOptions,
+    *,
+    sparsity: float = 0.0,
     on_iterate=None,
 ) -> tuple[np.ndarray, ConnectivityMatrix, float]:
     """Pour one cluster into another while that strictly lowers the score.
@@ -180,14 +171,13 @@ def _merge_step(
     before being accepted, which keeps the loss history provably
     non-increasing regardless of floating-point dust.
     """
-    lam = opts.sparsity
-    f1_term = float(kernel.fa.sum() - kernel.fa_diag.sum()) / float(kernel.n) ** 2
+    f1_term = float(kernel.fa.sum()) / float(kernel.n) ** 2
     while True:
-        s, d, q = pair_summaries(kernel.ha, t)
+        s, d, q = pair_summaries(kernel.a, t)
         live = np.flatnonzero(q > 1e-12)
         if live.size < 2:
             return t, conn, pen
-        current = _summary_score(s, d, q, kernel.loss, lam, f1_term)
+        current = _summary_score(s, d, q, kernel.loss, sparsity, f1_term)
         best_gain, best_pair = 0.0, None
         for a in range(live.size):
             i = int(live[a])
@@ -198,7 +188,7 @@ def _merge_step(
                     _merge_rowcol(d, i, j),
                     np.delete(q + (np.arange(q.size) == i) * q[j], j),
                     kernel.loss,
-                    lam,
+                    sparsity,
                     f1_term,
                 )
                 gain = current - cand
@@ -211,7 +201,7 @@ def _merge_step(
         merged[:, i] += merged[:, j]
         merged[:, j] = 0.0
         merged_conn = kernel.connectivity(merged)
-        merged_pen = _penalized(kernel, merged, merged_conn, lam)
+        merged_pen = _penalized(kernel, merged, kernel.loss.prepare_theta(merged_conn), sparsity)
         if not merged_pen < pen:
             return t, conn, pen
         t, conn, pen = merged, merged_conn, merged_pen
@@ -231,7 +221,6 @@ def _fw_core(
     theta: np.ndarray,
     t0: np.ndarray,
     linear: np.ndarray | None,
-    opts: SolverOptions,
     on_iterate=None,
 ) -> tuple[np.ndarray, float]:
     """Frank-Wolfe on <cost(t), t> + <linear, t> over row-constrained plans."""
@@ -246,7 +235,7 @@ def _fw_core(
         on_iterate(t, obj)
     rows = np.arange(n)
     unit = 1.0 / n
-    for _ in range(opts.fw_max_iters):
+    for _ in range(FW_MAX_ITERS):
         grad = 2.0 * m if linear is None else 2.0 * m + linear
         cols = np.argmin(grad, axis=1)
         x = np.zeros_like(t)
@@ -274,7 +263,7 @@ def _fw_core(
         obj = _check_finite((a * gamma + b) * gamma + f0, "fw_solve")
         if on_iterate is not None:
             on_iterate(t, obj)
-        if abs(f0 - obj) <= opts.fw_rel_tol * max(abs(f0), 1e-15):
+        if abs(f0 - obj) <= FW_REL_TOL * max(abs(f0), 1e-15):
             break
     return t, obj
 
@@ -290,26 +279,18 @@ def fw_solve(
     loss: CompositeLoss,
     conn,
     plan0: TransportPlan,
-    linear_cost: np.ndarray | None = None,
-    opts: SolverOptions | None = None,
     on_iterate=None,
 ) -> TransportPlan:
     """Minimize the objective at fixed connectivity from a feasible start.
 
-    ``linear_cost`` (n x k) is added linearly; it carries the penalty
-    linearization during MM rounds.  Ties in the row-wise oracle resolve
-    to the lowest cluster index, so runs are deterministic.
+    Ties in the row-wise oracle resolve to the lowest cluster index, so
+    runs are deterministic.
     """
-    opts = opts or SolverOptions()
     kernel, theta = _prepared(adj, loss, conn)
     t0 = _plan_matrix(plan0)
     if t0.shape[0] != kernel.n or theta.shape[0] != t0.shape[1]:
         raise ValueError("plan, adjacency and connectivity shapes disagree")
-    if linear_cost is not None:
-        linear_cost = np.asarray(linear_cost, dtype=np.float64)
-        if linear_cost.shape != t0.shape:
-            raise ValueError("linear cost must match the plan shape")
-    t, _ = _fw_core(kernel, theta, t0, linear_cost, opts, on_iterate)
+    t, _ = _fw_core(kernel, theta, t0, None, on_iterate)
     return TransportPlan(t)
 
 
@@ -317,21 +298,19 @@ def _mm_core(
     kernel: CostKernel,
     theta: np.ndarray,
     t0: np.ndarray,
-    opts: SolverOptions,
+    sparsity: float,
     on_iterate=None,
 ) -> np.ndarray:
-    if opts.sparsity == 0.0:
-        t, _ = _fw_core(kernel, theta, t0, None, opts, on_iterate)
+    if sparsity == 0.0:
+        t, _ = _fw_core(kernel, theta, t0, None, on_iterate)
         return t
     t = np.array(t0, dtype=np.float64)
-    pen = kernel.objective(t, theta) + opts.sparsity * column_mass_penalty(t)
-    _check_finite(pen, "mm_solve")
-    for _ in range(opts.mm_max_iters):
-        linear = penalty_linearization(t, opts.sparsity, opts.mass_floor)
-        t, _ = _fw_core(kernel, theta, t, linear, opts, on_iterate)
-        new_pen = kernel.objective(t, theta) + opts.sparsity * column_mass_penalty(t)
-        _check_finite(new_pen, "mm_solve")
-        done = abs(pen - new_pen) <= opts.mm_rel_tol * max(abs(pen), 1e-15)
+    pen = _check_finite(_penalized(kernel, t, theta, sparsity), "mm_solve")
+    for _ in range(MM_MAX_ITERS):
+        linear = penalty_linearization(t, sparsity)
+        t, _ = _fw_core(kernel, theta, t, linear, on_iterate)
+        new_pen = _check_finite(_penalized(kernel, t, theta, sparsity), "mm_solve")
+        done = abs(pen - new_pen) <= MM_REL_TOL * max(abs(pen), 1e-15)
         pen = new_pen
         if done:
             break
@@ -343,7 +322,8 @@ def mm_solve(
     loss: CompositeLoss,
     conn,
     plan0: TransportPlan,
-    opts: SolverOptions | None = None,
+    *,
+    sparsity: float = 0.0,
     on_iterate=None,
 ) -> TransportPlan:
     """Minimize objective plus sparsity penalty by majorize-minimize rounds.
@@ -353,19 +333,20 @@ def mm_solve(
     true penalized objective stalls.  With ``sparsity == 0`` this is a
     single plain Frank-Wolfe solve.
     """
-    opts = opts or SolverOptions()
+    sparsity = _check_sparsity(sparsity)
     kernel, theta = _prepared(adj, loss, conn)
     t0 = _plan_matrix(plan0)
     if t0.shape[0] != kernel.n or theta.shape[0] != t0.shape[1]:
         raise ValueError("plan, adjacency and connectivity shapes disagree")
-    return TransportPlan(_mm_core(kernel, theta, t0, opts, on_iterate))
+    return TransportPlan(_mm_core(kernel, theta, t0, sparsity, on_iterate))
 
 
 def bcd_fit(
     adj,
     loss: CompositeLoss,
     plan0: TransportPlan,
-    opts: SolverOptions | None = None,
+    *,
+    sparsity: float = 0.0,
     on_iterate=None,
 ) -> FitResult:
     """Alternate closed-form connectivity updates with plan solves.
@@ -375,10 +356,10 @@ def bcd_fit(
     the sparsity penalty is active — can only lower the penalized
     objective, so ``loss_history`` (recorded against the freshly refit
     connectivity once per round) is non-increasing.  Stops when its
-    relative change drops below ``bcd_rel_tol`` or after
-    ``bcd_max_iters`` rounds.
+    relative change drops below ``BCD_REL_TOL`` or after
+    ``BCD_MAX_ITERS`` rounds.
     """
-    opts = opts or SolverOptions()
+    sparsity = _check_sparsity(sparsity)
     start = time.perf_counter()
     kernel = CostKernel(adj, loss)
     t = _plan_matrix(plan0).copy()
@@ -387,15 +368,17 @@ def bcd_fit(
     history: list[float] = []
     conn = kernel.connectivity(t)
     prev = None
-    for _ in range(opts.bcd_max_iters):
-        t = _mm_core(kernel, loss.prepare_theta(conn), t, opts, on_iterate)
+    for _ in range(BCD_MAX_ITERS):
+        t = _mm_core(kernel, loss.prepare_theta(conn), t, sparsity, on_iterate)
         conn = kernel.connectivity(t)
-        pen = _penalized(kernel, t, conn, opts.sparsity)
-        if opts.sparsity > 0.0:
-            t, conn, pen = _merge_step(kernel, t, conn, pen, opts, on_iterate)
+        pen = _penalized(kernel, t, loss.prepare_theta(conn), sparsity)
+        if sparsity > 0.0:
+            t, conn, pen = _merge_step(
+                kernel, t, conn, pen, sparsity=sparsity, on_iterate=on_iterate
+            )
         _check_finite(pen, "bcd_fit")
         history.append(pen)
-        if prev is not None and abs(prev - pen) <= opts.bcd_rel_tol * max(abs(prev), 1e-15):
+        if prev is not None and abs(prev - pen) <= BCD_REL_TOL * max(abs(prev), 1e-15):
             break
         prev = pen
     plan = TransportPlan(t)

@@ -6,9 +6,12 @@ it shares code with the fast kernels under test.
 """
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 
+import gwsbm
 from gwsbm import AdjacencyMatrix, ConnectivityMatrix, TransportPlan
 
 
@@ -148,3 +151,14 @@ def theta_bracket(kind):
     if kind == "poisson_nll":
         return 1e-6, 12.0
     return 1e-6, 50.0  # exponential rate data stays in [0.2, 3]
+
+
+def cli_process_env():
+    """Environment for a child ``python -m gwsbm.cli`` run of the package under test.
+
+    The suite can import ``gwsbm`` straight from the source tree (pytest's
+    ``pythonpath`` setting); a child interpreter does not inherit that, so
+    the package's parent directory is put first on its ``PYTHONPATH``.
+    """
+    parts = [str(Path(gwsbm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in parts if p)}

@@ -17,7 +17,6 @@ import oracles
 from gwsbm import (
     ExperimentConfig,
     Proportions,
-    SolverOptions,
     TransportPlan,
     aligned_plan_error,
     ari,
@@ -156,7 +155,7 @@ def test_criterion_06_monotone_descent_across_scenarios():
             adj,
             make_loss(kind),
             spectral_init(adj, 6, seed=seed),
-            SolverOptions(sparsity=6 / (2 * n)),
+            sparsity=6 / (2 * n),
         )
         if len(result.loss_history) > 1:
             worst = max(worst, float(np.max(np.diff(result.loss_history))))
@@ -172,7 +171,7 @@ def test_criterion_07_partition_recovery_at_two_scales():
             adj,
             make_loss("bernoulli_nll"),
             spectral_init(adj, 10, seed=seed),
-            SolverOptions(sparsity=10 / 1200),
+            sparsity=10 / 1200,
         )
         mid_scores.append(ari(result.labels, truth))
     mid_mean = float(np.mean(mid_scores))
@@ -185,7 +184,7 @@ def test_criterion_07_partition_recovery_at_two_scales():
             adj,
             make_loss("bernoulli_nll"),
             spectral_init(adj, 20, seed=seed),
-            SolverOptions(sparsity=20 / 2000),
+            sparsity=20 / 2000,
         )
         large_scores.append(ari(result.labels, truth))
         large_hits += result.k_hat == 5
@@ -209,7 +208,7 @@ def test_criterion_08_model_selection_plateau_and_endpoints():
     def k_hats(lam):
         out = []
         for (adj, _), plan0 in zip(graphs, inits):
-            result = bcd_fit(adj, make_loss("bernoulli_nll"), plan0, SolverOptions(sparsity=lam))
+            result = bcd_fit(adj, make_loss("bernoulli_nll"), plan0, sparsity=lam)
             out.append(result.k_hat)
         return out
 
@@ -238,7 +237,7 @@ def test_criterion_09_error_shrinks_with_graph_size():
             plan0 = spectral_init(adj, 3, seed=seed)
             plan_hat = fw_solve(adj, loss, conn_star, plan0)
             plan_errs.append(aligned_plan_error(plan_hat, truth))
-            result = bcd_fit(adj, loss, plan0, SolverOptions(sparsity=0.0))
+            result = bcd_fit(adj, loss, plan0, sparsity=0.0)
             theta_errs.append(
                 connectivity_error(result.connectivity, conn_star, result.labels, truth)
             )
@@ -304,7 +303,7 @@ def test_criterion_11_best_objective_monotone_in_cluster_budget():
                     adj,
                     loss,
                     spectral_init(adj, k, seed=restart),
-                    SolverOptions(sparsity=0.0),
+                    sparsity=0.0,
                 ).loss_history[-1]
                 for restart in range(10)
             )
@@ -320,6 +319,7 @@ def test_criterion_12_bitwise_determinism(tmp_path):
             capture_output=True,
             text=True,
             timeout=300,
+            env=oracles.cli_process_env(),
         )
         for _ in range(2)
     ]

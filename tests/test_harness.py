@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from gwsbm import (
     ExperimentConfig,
     ari,
@@ -81,6 +82,12 @@ class TestConfig:
             dict(seeds=[]),
             dict(sparsity_grid=[0.1, 0.01]),  # grids must ascend
             dict(sparsity="half"),
+            dict(sparsity=float("nan")),
+            dict(sparsity=float("inf")),
+            dict(sparsity=-1.0),
+            dict(sparsity=None, sparsity_grid=[0.0, float("nan")]),
+            dict(sparsity=None, sparsity_grid=[0.0, float("inf")]),
+            dict(sparsity=None, sparsity_grid=[-1.0, 0.0]),
             dict(n=1),
         ):
             with pytest.raises(ValueError):
@@ -308,10 +315,11 @@ class TestCli:
             ["sample", "--n", "20", "--k", "2", "--p-in", "0.3", "--p-out", "0.1",
              "--out", str(graph)]
         )
-        code = cli_dispatch(
-            ["fit", "--graph", str(graph), "--k", "2", "--lambda", "-1", "--out", str(tmp_path)]
-        )
-        assert code == 1
+        for bad in ("-1", "nan", "inf"):
+            code = cli_dispatch(
+                ["fit", "--graph", str(graph), "--k", "2", "--lambda", bad, "--out", str(tmp_path)]
+            )
+            assert code == 1, bad
 
     def test_fit_missing_graph_fails_cleanly(self, tmp_path):
         code = cli_dispatch(
@@ -331,6 +339,9 @@ class TestCli:
         code = cli_dispatch(["experiment", "ari-sweep", "--config", str(path)])
         assert code == 0
         assert Path(config.output_path).exists()
+        for bad in (float("nan"), float("inf"), -1.0):
+            path.write_text(json.dumps({**config.to_dict(), "lambda": bad}))
+            assert cli_dispatch(["experiment", "ari-sweep", "--config", str(path)]) == 1, bad
 
     def test_unknown_subcommand_exit_code(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1
@@ -344,6 +355,7 @@ class TestCli:
                 capture_output=True,
                 text=True,
                 timeout=600,
+                env=oracles.cli_process_env(),
             )
             for _ in range(2)
         ]

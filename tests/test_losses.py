@@ -44,6 +44,43 @@ def test_poisson_f1_is_log_factorial():
     )
 
 
+def test_f1_vanishes_at_zero():
+    """The kernel drops the diagonal f1 terms; that is exact only if f1(0) = 0."""
+    for kind in LOSS_KINDS:
+        assert np.array_equal(make_loss(kind).f1(np.zeros(3)), np.zeros(3))
+
+
+def test_prepare_theta_clips_connectivity_into_the_clamp():
+    """The clip is, per kind: raw values for squared, both margins for Bernoulli,
+    the lower margin only for the Poisson and exponential rates."""
+    vals = np.array([-1.0, 1e-9, 0.3, 1.0 - 1e-9, 2.0, 5e6])
+    conn = ConnectivityMatrix(np.add.outer(vals, vals) / 2.0)
+    raw = conn.raw
+    per_kind = {
+        "squared": raw,
+        "bernoulli_nll": np.clip(raw, 1e-6, 1.0 - 1e-6),
+        "poisson_nll": np.maximum(raw, 1e-6),
+        "exponential_nll": np.maximum(raw, 1e-6),
+    }
+    for kind in LOSS_KINDS:
+        assert np.array_equal(make_loss(kind).prepare_theta(conn), per_kind[kind])
+
+
+def test_raw_adjacency_is_validated():
+    """Raw arrays must be symmetric with a zero diagonal, as AdjacencyMatrix requires."""
+    loss = make_loss("bernoulli_nll")
+    plan = TransportPlan(np.full((3, 2), 1 / 6))
+    theta = ConnectivityMatrix(np.full((2, 2), 0.5))
+    looped = np.ones((3, 3))
+    directed = np.zeros((3, 3))
+    directed[0, 1] = 1.0
+    for bad in (looped, directed):
+        with pytest.raises(ValueError):
+            cost_application(bad, plan, theta, loss)
+        with pytest.raises(ValueError):
+            closed_form_connectivity(bad, plan, loss)
+
+
 @given(a=st.floats(0.05, 0.95))
 @settings(max_examples=25, deadline=None)
 def test_losses_minimized_at_matched_parameter(a):
@@ -230,7 +267,7 @@ class TestClosedFormConnectivity:
         assert conn.raw[1, 1] == 0.5 and conn.raw[0, 2] == 0.5
 
     def test_kernel_connectivity_is_the_same_formula(self):
-        """The kernel's cached h1(A) gives exactly the module function's result."""
+        """The kernel gives exactly the module function's result."""
         rng = np.random.default_rng(23)
         for kind in LOSS_KINDS:
             loss = make_loss(kind)

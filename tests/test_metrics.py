@@ -184,12 +184,31 @@ class TestAlignedPlanError:
         assert aligned_plan_error(shuffled, z) == pytest.approx(0.0, abs=1e-15)
 
     def test_large_cluster_count_uses_matching(self):
-        """Past 8 clusters the alignment comes from the confusion matrix."""
+        """Past 8 clusters a relabeled planted plan still aligns to zero."""
         rng = np.random.default_rng(2)
         z = np.repeat(np.arange(9), 3)
         perm = rng.permutation(9)
         plan = labels_to_plan(Labels(perm[z], 9))
         assert aligned_plan_error(plan, z) == pytest.approx(0.0, abs=1e-15)
+
+    def test_exact_beyond_eight_clusters(self):
+        """At k = 9 the best relabeling never does worse than none at all.
+
+        Cluster 0 leans by a hair towards column 1, which cluster 1 fills:
+        matching the row argmaxes would swap the two columns, while the L1
+        optimum keeps the identity.
+        """
+        z = np.concatenate([np.zeros(5), np.ones(4), np.repeat(np.arange(2, 9), 4)]).astype(np.int64)
+        n = z.size
+        rows = np.eye(9)[z]
+        rows[:5] = 0.07
+        rows[:5, 0], rows[:5, 1] = 0.25, 0.26
+        t = rows / n
+        identity_l1 = float(np.abs(t - np.eye(9)[z] / n).sum())
+        err = aligned_plan_error(TransportPlan(t), z)
+        assert err == pytest.approx(identity_l1, abs=1e-15)
+        perm = np.random.default_rng(3).permutation(9)
+        assert aligned_plan_error(TransportPlan(t[:, perm]), z) == pytest.approx(err, abs=1e-15)
 
     def test_mass_misplacement_measured_in_l1(self):
         z = np.array([0, 0, 1, 1])

@@ -9,7 +9,6 @@ from gwsbm import (
     AdjacencyMatrix,
     ConnectivityMatrix,
     Proportions,
-    SolverOptions,
     TransportPlan,
     bcd_fit,
     closed_form_connectivity,
@@ -159,7 +158,7 @@ class TestMajorizeMinimize:
         theta = oracles.random_theta(rng, 3)
         plan0 = oracles.random_plan(rng, 20, 3)
         loss = make_loss("bernoulli_nll")
-        a = mm_solve(adj, loss, theta, plan0, SolverOptions(sparsity=0.0))
+        a = mm_solve(adj, loss, theta, plan0, sparsity=0.0)
         b = fw_solve(adj, loss, theta, plan0)
         assert np.array_equal(a.matrix, b.matrix)
 
@@ -167,7 +166,7 @@ class TestMajorizeMinimize:
         conn = build_scenario("assortative", 4, 0.3, 0.05)
         adj, _ = sample_graph(conn, balanced_proportions(4), 40, seed=6)
         plan0 = spectral_init(adj, 4, seed=6)
-        out = mm_solve(adj, make_loss("bernoulli_nll"), conn, plan0, SolverOptions(sparsity=10.0))
+        out = mm_solve(adj, make_loss("bernoulli_nll"), conn, plan0, sparsity=10.0)
         q = np.sort(out.column_masses())
         assert q[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(q[:-1] <= 1e-12)
@@ -185,7 +184,7 @@ class TestMajorizeMinimize:
             pen = srgw_objective(adj, t, conn, loss) + lam * column_mass_penalty(t)
             values.append(pen)
 
-        mm_solve(adj, loss, conn, plan0, SolverOptions(sparsity=lam), on_iterate=watch)
+        mm_solve(adj, loss, conn, plan0, sparsity=lam, on_iterate=watch)
         assert len(values) >= 2
         assert np.all(np.diff(values) <= 1e-10)
 
@@ -210,8 +209,8 @@ class TestClusterMerges:
             plan = oracles.random_plan(rng, 12, 3)
             t = plan.matrix
             lam = 0.03
-            s, d, q = pair_summaries(kernel.ha, t)
-            f1_term = float(kernel.fa.sum() - kernel.fa_diag.sum()) / 144.0
+            s, d, q = pair_summaries(kernel.a, t)
+            f1_term = float(kernel.fa.sum()) / 144.0
             score = _summary_score(s, d, q, loss, lam, f1_term)
             conn = closed_form_connectivity(adj, t, loss)
             exact = srgw_objective(adj, t, conn, loss) + lam * column_mass_penalty(t)
@@ -222,11 +221,11 @@ class TestClusterMerges:
         adj = oracles.random_binary_graph(rng, 10)
         kernel = CostKernel(adj, make_loss("bernoulli_nll"))
         t = oracles.random_plan(rng, 10, 4).matrix
-        s, d, q = pair_summaries(kernel.ha, t)
+        s, d, q = pair_summaries(kernel.a, t)
         merged = t.copy()
         merged[:, 1] += merged[:, 3]
         merged = np.delete(merged, 3, axis=1)
-        s2, d2, q2 = pair_summaries(kernel.ha, merged)
+        s2, d2, q2 = pair_summaries(kernel.a, merged)
         np.testing.assert_allclose(_merge_rowcol(s, 1, 3), s2, atol=1e-12)
         np.testing.assert_allclose(_merge_rowcol(d, 1, 3), d2, atol=1e-12)
         np.testing.assert_allclose(np.delete(q + (np.arange(4) == 1) * q[3], 3), q2, atol=1e-14)
@@ -235,13 +234,13 @@ class TestClusterMerges:
         adj, t = self.make_split_state()
         loss = make_loss("bernoulli_nll")
         kernel = CostKernel(adj, loss)
-        opts = SolverOptions(sparsity=3 / 120)
+        lam = 3 / 120
         conn = closed_form_connectivity(adj, t, loss)
-        before = srgw_objective(adj, t, conn, loss) + opts.sparsity * column_mass_penalty(t)
-        out, out_conn, out_pen = _merge_step(kernel, t, conn, before, opts)
+        before = srgw_objective(adj, t, conn, loss) + lam * column_mass_penalty(t)
+        out, out_conn, out_pen = _merge_step(kernel, t, conn, before, sparsity=lam)
         assert selected_k(TransportPlan(out)) == 2
         conn2 = closed_form_connectivity(adj, out, loss)
-        after = srgw_objective(adj, out, conn2, loss) + opts.sparsity * column_mass_penalty(out)
+        after = srgw_objective(adj, out, conn2, loss) + lam * column_mass_penalty(out)
         assert after < before
         # the returned connectivity and score are those of the returned plan
         assert np.array_equal(out_conn.raw, conn2.raw)
@@ -253,7 +252,7 @@ class TestClusterMerges:
         kernel = CostKernel(adj, loss)
         conn = closed_form_connectivity(adj, t, loss)
         pen = srgw_objective(adj, t, conn, loss)
-        out, out_conn, out_pen = _merge_step(kernel, t, conn, pen, SolverOptions(sparsity=0.0))
+        out, out_conn, out_pen = _merge_step(kernel, t, conn, pen, sparsity=0.0)
         assert np.array_equal(out, t)
         assert out_conn is conn and out_pen == pen
 
@@ -265,7 +264,7 @@ class TestAlternatingFit:
         for seed in range(5):
             adj, truth = sample_graph(conn, balanced_proportions(2), 200, seed=seed)
             plan0 = spectral_init(adj, 2, seed=seed)
-            result = bcd_fit(adj, make_loss("bernoulli_nll"), plan0, SolverOptions(sparsity=2 / 400))
+            result = bcd_fit(adj, make_loss("bernoulli_nll"), plan0, sparsity=2 / 400)
             scores.append(ari(result.labels, truth))
             assert np.all(np.diff(result.loss_history) <= 1e-10)
             assert result.k_hat == selected_k(result.plan)
@@ -281,13 +280,13 @@ class TestAlternatingFit:
                 adj,
                 make_loss(kind),
                 spectral_init(adj, 5, seed=12),
-                SolverOptions(sparsity=0.02),
+                sparsity=0.02,
             )
             assert np.all(np.diff(result.loss_history) <= 1e-10)
 
     def test_empty_graph_flags_degenerate(self):
         adj = AdjacencyMatrix(np.zeros((12, 12)))
-        result = bcd_fit(adj, make_loss("bernoulli_nll"), uniform_plan(12, 3), SolverOptions(sparsity=0.01))
+        result = bcd_fit(adj, make_loss("bernoulli_nll"), uniform_plan(12, 3), sparsity=0.01)
         assert result.degenerate
 
     def test_callback_sees_feasible_plans_only(self):
@@ -299,7 +298,7 @@ class TestAlternatingFit:
             np.testing.assert_allclose(t.sum(axis=1), np.full(40, 1 / 40), atol=1e-10)
 
         bcd_fit(adj, make_loss("bernoulli_nll"), spectral_init(adj, 4, seed=13),
-                SolverOptions(sparsity=0.01), on_iterate=watch)
+                sparsity=0.01, on_iterate=watch)
 
 
 class TestBoundEvaluators:
