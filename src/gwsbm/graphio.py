@@ -7,6 +7,7 @@ line.  Matrices: comma-separated rows at full (round-trip) precision.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -38,24 +39,59 @@ def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _edge_rows(body: str) -> np.ndarray | None:
+    """The ``i j`` rows of an edge list's body; None when numpy cannot parse them."""
+    if not body.strip():
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _first_edge_fault(path: str | Path, body: str, n: int) -> ValueError:
+    """The error for the first malformed line of an edge list's body."""
+    for line in body.split("\n"):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return ValueError(f"{path}: malformed edge line {line.strip()!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            return ValueError(f"{path}: {exc}")
+        if not (0 <= i < j < n):
+            return ValueError(f"{path}: edge ({i}, {j}) out of range for n={n}")
+    return ValueError(f"{path}: edge indices must be plain decimal integers")
+
+
 def read_edge_list(path: str | Path) -> AdjacencyMatrix:
-    """Read an edge list written by :func:`write_edge_list`."""
+    """Read an edge list written by :func:`write_edge_list`.
+
+    Blank lines are skipped and a repeated edge is stored once.  Any
+    malformed input raises ``ValueError`` naming the file and, where there
+    is one, the first faulty line.
+    """
     with open(path) as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw:
+        head, _, body = fh.read().lstrip().partition("\n")
+    if not head:
         raise ValueError(f"{path}: empty edge-list file")
-    n = int(raw[0])
+    try:
+        n = int(head)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if n < 1:
         raise ValueError(f"{path}: node count must be positive")
+    ij = _edge_rows(body)
+    if ij is None or ij.shape[1] != 2:
+        raise _first_edge_fault(path, body, n)
+    i, j = ij[:, 0], ij[:, 1]
+    if not np.all((0 <= i) & (i < j) & (j < n)):
+        raise _first_edge_fault(path, body, n)
     a = np.zeros((n, n))
-    for line in raw[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed edge line {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < j < n):
-            raise ValueError(f"{path}: edge ({i}, {j}) out of range for n={n}")
-        a[i, j] = a[j, i] = 1.0
+    a[i, j] = 1.0
+    a[j, i] = 1.0
     return AdjacencyMatrix(a)
 
 

@@ -12,8 +12,10 @@ be assembled from three matrix products instead of a four-index tensor:
 ``f1(A) @ rowsum``, ``f2(theta) @ colsum`` and ``A @ T @ h2(theta).T``.
 Adjacency matrices have a zero diagonal and ``f1(0) = 0``, so of the
 diagonal (i == j) terms those products include only the ``f2`` part is
-nonzero, and one exact correction removes it.  The total cost is
-O(n^2 k + n k^2) time and O(n^2) memory.
+nonzero, and one exact correction removes it.  ``f1(0) = 0`` also means
+``f1(A)`` lives on A's nonzero entries, so :class:`CostKernel` holds A and
+``f1(A)`` as sparse CSR arrays and one cost application takes
+O(|E| k + n k^2) time for a graph with |E| stored entries.
 
 The connectivity minimizing the objective at a fixed plan has a closed
 form, implemented once: :func:`pair_summaries` reduces the plan and A to
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln
 
 from .sbm import PROB_MARGIN, AdjacencyMatrix, ConnectivityMatrix
@@ -209,19 +212,29 @@ def _adjacency_matrix(adj) -> np.ndarray:
 class CostKernel:
     """Caches the per-graph arrays needed to apply the pairwise cost.
 
-    Building the kernel evaluates ``f1`` on the full adjacency matrix once;
-    afterwards each :meth:`cost` call only pays the matrix products that
-    depend on the current plan and connectivity.
+    ``a`` is the adjacency matrix and ``fa`` is ``f1(A)``, both as
+    ``scipy.sparse`` CSR arrays.  ``f1`` is evaluated on A's stored entries
+    only (``f1(0) = 0``) and entries where it vanishes are dropped, so
+    ``fa`` is empty for the Bernoulli and exponential losses.  Each
+    :meth:`cost` call then costs O(|E| k + n k^2): one sparse ``A @ T``
+    plus products with the k x k connectivity.
     """
 
     def __init__(self, adj, loss: CompositeLoss):
         self.loss = loss
-        self.a = _adjacency_matrix(adj)
+        self.a = sparse.csr_array(_adjacency_matrix(adj))
         self.n = self.a.shape[0]
-        self.fa = np.asarray(loss.f1(self.a), dtype=np.float64)
+        fa = self.a.copy()
+        fa.data = np.asarray(loss.f1(fa.data), dtype=np.float64)
+        fa.eliminate_zeros()
+        self.fa = fa
 
     def cost(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Apply the cost tensor to a plan, excluding i == j terms exactly."""
+        """Apply the cost tensor to a plan, excluding i == j terms exactly.
+
+        The map is linear in ``t`` and, with A and ``theta`` symmetric,
+        self-adjoint: ``<cost(u), v> == <cost(v), u>``.
+        """
         f2t = np.asarray(self.loss.f2(theta), dtype=np.float64)
         h2t = np.asarray(self.loss.h2(theta), dtype=np.float64)
         rows = t.sum(axis=1)
@@ -267,18 +280,20 @@ def srgw_objective(adj, plan, conn, loss: CompositeLoss) -> float:
     return float(np.vdot(cost_application(adj, t, conn, loss), t))
 
 
-def pair_summaries(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pair_summaries(
+    a: sparse.csr_array, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Self-pair-free plan-weighted summaries behind the closed-form connectivity.
 
     Returns ``(s, d, q)`` where ``s[k, l]`` is the plan-weighted sum of the
-    adjacency entries ``a`` over node pairs i != j (the zero diagonal of
-    ``a`` drops the i == j terms), ``d[k, l]`` the matching pair mass, and
-    ``q`` the cluster masses.  Both matrices are additive under cluster
-    merges: adding row and column j into i yields the summaries of the plan
-    with cluster j poured into cluster i.
+    adjacency entries ``a`` (the kernel's CSR array) over node pairs i != j
+    (the zero diagonal of ``a`` drops the i == j terms), ``d[k, l]`` the
+    matching pair mass, and ``q`` the cluster masses.  Both matrices are
+    additive under cluster merges: adding row and column j into i yields
+    the summaries of the plan with cluster j poured into cluster i.
     """
     q = t.sum(axis=0)
-    s = t.T @ a @ t
+    s = t.T @ (a @ t)
     d = np.outer(q, q) - t.T @ t
     return 0.5 * (s + s.T), 0.5 * (d + d.T), q
 
@@ -307,9 +322,7 @@ def closed_form_connectivity(adj, plan, loss: CompositeLoss) -> ConnectivityMatr
     the cell rule.
     """
     t = _plan_matrix(plan)
-    a = _adjacency_matrix(adj)
-    if t.shape[0] != a.shape[0]:
+    kernel = CostKernel(adj, loss)
+    if t.shape[0] != kernel.n:
         raise ValueError("plan and adjacency disagree on n")
-    s, d, _ = pair_summaries(a, t)
-    theta, inactive = theta_from_summaries(s, d, loss)
-    return ConnectivityMatrix(theta, inactive=inactive)
+    return kernel.connectivity(t)

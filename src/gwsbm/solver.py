@@ -5,8 +5,13 @@ Three nested loops:
 * :func:`fw_solve` runs Frank-Wolfe on the quadratic assignment objective
   over plans whose rows each carry 1/n mass.  The linear minimization
   oracle is row-wise (mass goes to the cheapest cluster), and the step
-  size comes from an exact quadratic fit through the objective at step
-  sizes {0, 1/2, 1}.
+  size minimizes the objective on the segment in closed form: the cost
+  application is linear in the plan and self-adjoint, so with ``m`` the
+  cost of the current plan ``t``, ``mx`` that of the oracle's vertex ``x``
+  and ``d = x - t``, the objective at ``t + gamma d`` is
+  ``f0 + b gamma + a gamma^2`` with ``a = <mx - m, d>`` and
+  ``b = <2 m (+ linear), d>``, the gradient along ``d``.  Each iteration
+  applies the cost once, to the vertex.
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
   masses.  Each round linearizes the concave penalty at the current plan
   and hands the resulting linear cost to Frank-Wolfe (warm-started), which
@@ -241,20 +246,16 @@ def _fw_core(
         x = np.zeros_like(t)
         x[rows, cols] = unit
         mx = kernel.cost(x, theta)
+        # the objective along t + gamma d is exactly f0 + b gamma + a gamma^2:
+        # the cost is linear in the plan and self-adjoint, so cost(d) = mx - m
+        d = x - t
+        a = float(np.vdot(mx - m, d))
+        b = float(np.vdot(grad, d))
         f0 = obj
-        f1 = float(np.vdot(mx, x))
-        tm = 0.5 * (t + x)
-        f_half = kernel.objective(tm, theta)
-        if linear is not None:
-            f1 += float(np.vdot(linear, x))
-            f_half += float(np.vdot(linear, tm))
-        # exact quadratic through (0, f0), (1/2, f_half), (1, f1)
-        a = 2.0 * (f1 + f0 - 2.0 * f_half)
-        b = f1 - f0 - a
         if a > 0.0:
             gamma = min(1.0, max(0.0, -b / (2.0 * a)))
         else:
-            gamma = 1.0 if f1 <= f0 else 0.0
+            gamma = 1.0 if a + b <= 0.0 else 0.0
         if gamma == 0.0:
             break
         t = (1.0 - gamma) * t + gamma * x
@@ -390,7 +391,7 @@ def bcd_fit(
         k_hat=selected_k(plan),
         labels=hard_labels(plan),
         runtime_ms=runtime_ms,
-        degenerate=not kernel.a.any() or not conn.has_distinct_profiles(),
+        degenerate=kernel.a.nnz == 0 or not conn.has_distinct_profiles(),
     )
 
 

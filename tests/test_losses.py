@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import oracles
 from gwsbm import (
@@ -20,6 +21,7 @@ from gwsbm import (
 from gwsbm.losses import DENOMINATOR_FLOOR
 from gwsbm.sbm import block_densities, build_scenario, balanced_proportions, sample_graph
 from gwsbm.initplans import labels_to_plan
+from gwsbm.solver import penalty_linearization
 
 
 def test_frozen_loss_values():
@@ -104,6 +106,67 @@ def test_cost_matches_quadruple_loop_all_kinds():
             fast = cost_application(adj, plan, theta, loss)
             slow = oracles.quadruple_cost(adj.entries, plan.matrix, theta.raw, loss)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+def test_kernel_holds_a_and_f1_on_the_sparsity_pattern():
+    """A and f1(A) are CSR arrays; f1 vanishes off the edges and, for the
+    Bernoulli and exponential losses, everywhere."""
+    rng = np.random.default_rng(37)
+    for kind in LOSS_KINDS:
+        loss = make_loss(kind)
+        adj = oracles.graph_for_loss(rng, 12, kind)
+        kernel = CostKernel(adj, loss)
+        assert sparse.issparse(kernel.a) and kernel.a.format == "csr"
+        assert sparse.issparse(kernel.fa) and kernel.fa.format == "csr"
+        assert kernel.a.nnz == 2 * adj.edge_count()
+        assert np.array_equal(kernel.a.toarray(), adj.entries)
+        assert np.array_equal(kernel.fa.toarray(), loss.f1(adj.entries))
+        assert np.all(kernel.fa.data != 0.0)
+        if kind in ("bernoulli_nll", "exponential_nll"):
+            assert kernel.fa.nnz == 0
+
+
+class TestLineSearchAlgebra:
+    """The closed-form Frank-Wolfe step relies on a linear, self-adjoint cost."""
+
+    def instance(self, rng, kind, n=15, k=4):
+        loss = make_loss(kind)
+        kernel = CostKernel(oracles.graph_for_loss(rng, n, kind), loss)
+        theta = loss.prepare_theta(oracles.random_theta(rng, k))
+        return kernel, theta
+
+    def test_cost_is_self_adjoint(self):
+        rng = np.random.default_rng(41)
+        for kind in LOSS_KINDS:
+            kernel, theta = self.instance(rng, kind)
+            u = oracles.random_plan(rng, 15, 4).matrix
+            v = rng.standard_normal((15, 4))
+            uv = float(np.vdot(kernel.cost(u, theta), v))
+            vu = float(np.vdot(kernel.cost(v, theta), u))
+            assert vu == pytest.approx(uv, rel=1e-12, abs=0.0)
+
+    def test_segment_coefficients_match_the_objective(self):
+        """f0 + b g + a g^2 with a = <mx - m, d>, b = 2<m, d> (+ <linear, d>)."""
+        rng = np.random.default_rng(43)
+        n, k = 15, 4
+        for kind in LOSS_KINDS:
+            kernel, theta = self.instance(rng, kind, n, k)
+            t = oracles.random_plan(rng, n, k).matrix
+            x = np.zeros((n, k))
+            x[np.arange(n), rng.integers(0, k, n)] = 1.0 / n
+            d = x - t
+            m, mx = kernel.cost(t, theta), kernel.cost(x, theta)
+            for linear in (None, penalty_linearization(t, 0.05)):
+                lin = np.zeros((n, k)) if linear is None else linear
+                f0 = float(np.vdot(m, t)) + float(np.vdot(lin, t))
+                a = float(np.vdot(mx - m, d))
+                b = 2.0 * float(np.vdot(m, d)) + float(np.vdot(lin, d))
+                for gamma in (0.5, 1.0):
+                    tg = t + gamma * d
+                    exact = kernel.objective(tg, theta) + float(np.vdot(lin, tg))
+                    assert f0 + b * gamma + a * gamma**2 == pytest.approx(
+                        exact, rel=1e-10, abs=0.0
+                    )
 
 
 def test_cost_zero_graph_zero_connectivity():

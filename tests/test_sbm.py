@@ -201,6 +201,50 @@ class TestGraphIO:
         with pytest.raises(ValueError):
             graphio.read_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("3\n0 1 2\n", "malformed edge line '0 1 2'"),
+            ("3\n0\n", "malformed edge line '0'"),
+            ("3\n0 x\n", "x"),
+            ("3\n0 1.5\n", "1.5"),
+            ("3\n2 2\n", r"edge \(2, 2\) out of range for n=3"),
+            ("3\n2 1\n", r"edge \(2, 1\) out of range for n=3"),
+            ("3\n0 3\n", r"edge \(0, 3\) out of range for n=3"),
+            ("3\n-1 2\n", r"edge \(-1, 2\) out of range for n=3"),
+            ("3\n0 99999999999999999999\n", "out of range for n=3"),
+            ("3 4\n0 1\n", "3 4"),
+            ("0\n", "node count must be positive"),
+            ("-2\n", "node count must be positive"),
+            ("", "empty edge-list file"),
+            ("\n  \n\n", "empty edge-list file"),
+            ("4\n0 1\n0 1 2\n5 6\n", "malformed edge line '0 1 2'"),
+            ("4\n0 9\n0 1 2\n", r"edge \(0, 9\) out of range for n=4"),
+            ("4\n0 0_2\n", "plain decimal integers"),
+            ("\n3\n\n0 1\n  \n 1 2 \n\n", [(0, 1), (1, 2)]),
+            ("3\n0 1\n0 1\n", [(0, 1)]),
+            ("3\n", []),
+            ("1\n", []),
+        ],
+    )
+    def test_edge_list_parse_table(self, tmp_path, text, expected):
+        """Blank lines are skipped, duplicate edges stored once, and every
+        malformed input raises ValueError naming the file and its first
+        faulty line in file order."""
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected) as err:
+                graphio.read_edge_list(path)
+            assert str(path) in str(err.value)
+            return
+        adj = graphio.read_edge_list(path)
+        n = int(text.split()[0])
+        want = np.zeros((n, n))
+        for i, j in expected:
+            want[i, j] = want[j, i] = 1.0
+        assert np.array_equal(adj.entries, want)
+
     def test_labels_roundtrip(self, tmp_path):
         labels = Labels(np.array([2, 0, 1, 2]), 4)
         path = tmp_path / "labels.csv"

@@ -28,6 +28,7 @@ from gwsbm import (
     srgw_objective,
     uniform_plan,
 )
+from gwsbm import solver
 from gwsbm.losses import CostKernel, pair_summaries
 from gwsbm.metrics import ari
 from gwsbm.sbm import Labels, balanced_proportions, build_scenario, sample_graph
@@ -149,6 +150,58 @@ class TestFrankWolfe:
         adj, theta = one_edge_instance()
         with pytest.raises(ValueError):
             fw_solve(adj, make_loss("bernoulli_nll"), theta, uniform_plan(3, 2))
+
+    def test_one_cost_application_per_iteration(self, monkeypatch):
+        """On the README quick-start fit, each Frank-Wolfe run applies the
+        cost to its start plan and then once per oracle vertex, and never
+        evaluates the objective for a line search."""
+        conn = build_scenario("assortative", 3, 0.2, 0.03)
+        adj, _ = sample_graph(conn, balanced_proportions(3), 600, seed=0)
+        stack, runs = [], []
+        real_cost, real_objective, real_core = CostKernel.cost, CostKernel.objective, solver._fw_core
+
+        def cost(self, t, theta):
+            if stack:
+                stack[-1]["calls"].append(("cost", np.array(t)))
+            return real_cost(self, t, theta)
+
+        def objective(self, t, theta):
+            if stack:
+                stack[-1]["calls"].append(("objective", None))
+            return real_objective(self, t, theta)
+
+        def fw_core(kernel, theta, t0, linear, on_iterate=None):
+            run = {"t0": np.array(t0), "calls": [], "steps": 0}
+
+            def count_step(t, obj):
+                run["steps"] += 1
+
+            stack.append(run)
+            try:
+                return real_core(kernel, theta, t0, linear, count_step)
+            finally:
+                runs.append(stack.pop())
+
+        monkeypatch.setattr(CostKernel, "cost", cost)
+        monkeypatch.setattr(CostKernel, "objective", objective)
+        monkeypatch.setattr(solver, "_fw_core", fw_core)
+        bcd_fit(adj, make_loss("bernoulli_nll"), spectral_init(adj, 10, seed=0), sparsity=10 / 1200)
+
+        n = adj.n
+        assert runs
+        for run in runs:
+            kinds = [kind for kind, _ in run["calls"]]
+            assert "objective" not in kinds
+            start, *vertices = [plan for _, plan in run["calls"]]
+            assert np.array_equal(start, run["t0"])
+            for x in vertices:
+                assert np.array_equal(np.count_nonzero(x, axis=1), np.ones(n))
+                assert np.all(x.sum(axis=1) == 1.0 / n)
+            iterations = len(vertices)
+            # on_iterate fires for the start and each accepted step; at most
+            # the last iteration is a rejected (zero) step
+            assert run["steps"] - 1 <= iterations <= run["steps"]
+            assert len(run["calls"]) == iterations + 1
 
 
 class TestMajorizeMinimize:
