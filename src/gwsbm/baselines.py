@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .losses import CompositeLoss, CostKernel, make_loss
 from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
@@ -64,6 +63,9 @@ def vem_fit(
     pair-weighted edge frequencies.  Outer iterations stop when the ELBO's
     relative change falls below ``tol``.
     """
+    # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
+    from scipy.special import logsumexp
+
     resp = np.array(resp0, dtype=np.float64)
     if resp.ndim != 2 or resp.shape[1] != k:
         raise ValueError("responsibilities must be n x k")
@@ -121,6 +123,9 @@ def exact_log_likelihood(adj: AdjacencyMatrix, conn: ConnectivityMatrix, props: 
     where that count exceeds 1e7.  Connectivity values are read through
     the clamped view so the edge terms stay finite.
     """
+    # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
+    from scipy.special import logsumexp
+
     n = adj.n
     k = conn.k
     if props.k != k:

@@ -33,7 +33,9 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 
 def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     """Write a binary graph as an edge list."""
-    iu, ju = np.nonzero(np.triu(adj.entries, 1))
+    iu, ju = np.nonzero(adj.entries)
+    upper = iu < ju
+    iu, ju = iu[upper], ju[upper]
     lines = [str(adj.n)]
     lines.extend(f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist()))
     _atomic_write_text(path, "\n".join(lines) + "\n")
@@ -92,6 +94,7 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     a = np.zeros((n, n))
     a[i, j] = 1.0
     a[j, i] = 1.0
+    a.setflags(write=False)
     return AdjacencyMatrix(a)
 
 

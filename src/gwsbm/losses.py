@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln
 
 from .sbm import PROB_MARGIN, AdjacencyMatrix, ConnectivityMatrix
 
@@ -132,6 +131,9 @@ def make_loss(kind: str) -> CompositeLoss:
             theta_clamp=(PROB_MARGIN, 1.0 - PROB_MARGIN),
         )
     if kind == "poisson_nll":
+        # Imported here: scipy.special costs ~0.3 s to load and only this loss uses it.
+        from scipy.special import gammaln
+
         return CompositeLoss(
             kind=kind,
             f1=lambda a: gammaln(np.asarray(a, dtype=np.float64) + 1.0),

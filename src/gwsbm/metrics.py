@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .losses import _plan_matrix
 from .sbm import ConnectivityMatrix, Labels
@@ -83,6 +82,9 @@ def selected_k(plan, mass_tol: float = MASS_TOL) -> int:
 
 def label_accuracy(labels_hat, labels_star) -> float:
     """Fraction of nodes labeled correctly under the best cluster matching."""
+    # Imported here: scipy.optimize costs ~0.2 s to load and a plain fit never needs it.
+    from scipy.optimize import linear_sum_assignment
+
     a = _label_values(labels_hat)
     b = _label_values(labels_star)
     if a.shape != b.shape:
@@ -139,6 +141,9 @@ def connectivity_error(conn_hat, conn_star, labels_hat, labels_star) -> float:
             err = float(np.linalg.norm(theta_hat[np.ix_(p, p)] - theta_star))
             best = min(best, err)
         return best
+    # Imported here: scipy.optimize costs ~0.2 s to load and k <= 8 never needs it.
+    from scipy.optimize import linear_sum_assignment
+
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (z_hat, z_star), 1)
     rows, cols = linear_sum_assignment(-confusion)
@@ -156,6 +161,9 @@ def aligned_plan_error(plan, labels_star) -> float:
     splits by column, so the best permutation solves a linear assignment
     on ``C[p, q] = sum_i |T[i, p] - target[i, q]|``, exactly for every k.
     """
+    # Imported here: scipy.optimize costs ~0.2 s to load and a plain fit never needs it.
+    from scipy.optimize import linear_sum_assignment
+
     t = _plan_matrix(plan)
     z = _label_values(labels_star)
     n, k = t.shape

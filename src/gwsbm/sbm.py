@@ -28,7 +28,13 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Dense symmetric pairwise-relation matrix with a zero diagonal."""
+    """Dense symmetric pairwise-relation matrix with a zero diagonal.
+
+    A read-only float64 array that owns its memory is adopted as it is,
+    which is how the reader and the sampler hand over the fresh arrays
+    they build; any other input is copied, so later writes to it cannot
+    reach the matrix.
+    """
 
     entries: np.ndarray
 
@@ -44,7 +50,9 @@ class AdjacencyMatrix:
             raise ValueError("adjacency matrix must be symmetric")
         if np.any(np.diagonal(arr) != 0.0):
             raise ValueError("adjacency diagonal must be zero")
-        object.__setattr__(self, "entries", _readonly(arr))
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = _readonly(arr)
+        object.__setattr__(self, "entries", arr)
 
     @property
     def n(self) -> int:
@@ -52,7 +60,8 @@ class AdjacencyMatrix:
 
     def edge_count(self) -> int:
         """Number of undirected edges (nonzero upper-triangle entries)."""
-        return int(np.count_nonzero(np.triu(self.entries, 1)))
+        # Symmetric with a zero diagonal, so each edge is stored exactly twice.
+        return int(np.count_nonzero(self.entries)) // 2
 
 
 @dataclass(frozen=True)
@@ -240,6 +249,7 @@ def sample_graph(
     probs = p[z[:, None], z[None, :]]
     upper = np.triu(u < probs, 1)
     a = (upper | upper.T).astype(np.float64)
+    a.setflags(write=False)
     return AdjacencyMatrix(a), Labels(z, conn.k)
 
 

@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .losses import (
     CompositeLoss,
@@ -403,6 +402,9 @@ def elbo_value(resp, adj, conn: ConnectivityMatrix, props: Proportions) -> float
     no self pairs) plus the assignment entropy plus the expected log prior
     under ``props``.  The convention 0 log 0 = 0 applies throughout.
     """
+    # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
+    from scipy.special import xlogy
+
     resp = np.asarray(resp, dtype=np.float64)
     if resp.ndim != 2:
         raise ValueError("responsibilities must be 2-d")
@@ -432,6 +434,9 @@ def entropic_objective(plan, adj, conn: ConnectivityMatrix) -> float:
     Maximizing the block-model ELBO over hard-prior proportions is the
     same problem as minimizing this quantity over feasible plans.
     """
+    # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
+    from scipy.special import xlogy
+
     t = _plan_matrix(plan)
     n = t.shape[0]
     loss = make_loss("bernoulli_nll")

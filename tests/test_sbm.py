@@ -151,6 +151,23 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             adj.entries[0, 1] = 1.0
 
+    def test_adjacency_copies_a_writeable_input(self):
+        a = np.zeros((3, 3))
+        a[0, 1] = a[1, 0] = 1.0
+        adj = AdjacencyMatrix(a)
+        a[0, 1] = a[1, 0] = 0.0
+        a[1, 2] = a[2, 1] = 1.0
+        assert adj.entries[0, 1] == 1.0 and adj.entries[1, 2] == 0.0
+        assert adj.edge_count() == 1
+
+    def test_adjacency_copies_a_read_only_view(self):
+        a = np.zeros((3, 3))
+        view = a.view()
+        view.setflags(write=False)
+        adj = AdjacencyMatrix(view)
+        a[0, 1] = a[1, 0] = 1.0
+        assert adj.edge_count() == 0
+
     def test_connectivity_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             ConnectivityMatrix(np.array([[0.5, 0.1], [0.2, 0.5]]))
@@ -183,6 +200,26 @@ class TestGraphIO:
         graphio.write_edge_list(adj, path)
         back = graphio.read_edge_list(path)
         assert np.array_equal(back.entries, adj.entries)
+
+    def test_read_edge_list_entries_read_only(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("3\n0 1\n1 2\n")
+        adj = graphio.read_edge_list(path)
+        with pytest.raises(ValueError):
+            adj.entries[0, 1] = 0.0
+
+    @pytest.mark.parametrize("p_in", [0.0, 0.1, 0.6])
+    def test_edge_count_and_writer_match_upper_triangle(self, tmp_path, p_in):
+        """Both read the same edges as the upper triangle, in row-major order."""
+        conn = ConnectivityMatrix(np.array([[p_in, p_in / 3], [p_in / 3, p_in]]))
+        adj, _ = sample_graph(conn, balanced_proportions(2), 40, seed=5)
+        upper = np.triu(adj.entries, 1)
+        assert adj.edge_count() == np.count_nonzero(upper)
+        path = tmp_path / "graph.txt"
+        graphio.write_edge_list(adj, path)
+        iu, ju = np.nonzero(upper)
+        expected = [str(adj.n)] + [f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist())]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_edge_list_format(self, tmp_path):
         """First line is the node count; edges are '<i> <j>' with i < j."""
