@@ -59,6 +59,7 @@ from .sbm import (
     ConnectivityMatrix,
     Labels,
     Proportions,
+    adjacency_from_edges,
     balanced_proportions,
     block_densities,
     build_scenario,
@@ -92,6 +93,7 @@ __all__ = [
     "ResultRow",
     "TransportPlan",
     "VemState",
+    "adjacency_from_edges",
     "aligned_plan_error",
     "ari",
     "auto_sparsity",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graphio
-from .baselines import brute_force_srgw
+from .baselines import _assignment_digits, brute_force_srgw
 from .harness import (
     ExperimentConfig,
     auto_sparsity,
@@ -144,12 +144,8 @@ def _cmd_oracle(args) -> int:
     best, _ = brute_force_srgw(adj, loss, conn)
     solver_best = np.inf
     for code in range(args.k**args.n):
-        digits = []
-        c = code
-        for _ in range(args.n):
-            digits.append(c % args.k)
-            c //= args.k
-        start = labels_to_plan(Labels(np.array(digits[::-1], dtype=np.int64), args.k))
+        z = _assignment_digits(code, code + 1, args.n, args.k)[0]
+        start = labels_to_plan(Labels(z, args.k))
         plan = fw_solve(adj, loss, conn, start)
         solver_best = min(solver_best, srgw_objective(adj, plan, conn, loss))
     gap = solver_best - best

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sbm import AdjacencyMatrix, Labels
+from .sbm import AdjacencyMatrix, Labels, adjacency_from_edges
 
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
@@ -33,9 +33,9 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 
 def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     """Write a binary graph as an edge list."""
-    iu, ju = np.nonzero(adj.entries)
-    upper = iu < ju
-    iu, ju = iu[upper], ju[upper]
+    coo = adj.csr.tocoo()  # the canonical CSR's order: row-major, columns sorted
+    upper = coo.row < coo.col
+    iu, ju = coo.row[upper], coo.col[upper]
     lines = [str(adj.n)]
     lines.extend(f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist()))
     _atomic_write_text(path, "\n".join(lines) + "\n")
@@ -91,11 +91,7 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     i, j = ij[:, 0], ij[:, 1]
     if not np.all((0 <= i) & (i < j) & (j < n)):
         raise _first_edge_fault(path, body, n)
-    a = np.zeros((n, n))
-    a[i, j] = 1.0
-    a[j, i] = 1.0
-    a.setflags(write=False)
-    return AdjacencyMatrix(a)
+    return adjacency_from_edges(n, i, j)
 
 
 def write_labels(labels: Labels, path: str | Path) -> None:

@@ -17,9 +17,9 @@ from pathlib import Path
 
 from . import graphio
 from .initplans import spectral_init
-from .losses import TransportPlan, make_loss
+from .losses import LOSS_KINDS, TransportPlan, make_loss
 from .metrics import aligned_plan_error, ari, connectivity_error, hard_labels, selected_k
-from .sbm import build_scenario, make_proportions, sample_graph
+from .sbm import PROPORTION_KINDS, SCENARIO_KINDS, build_scenario, make_proportions, sample_graph
 from .solver import _check_sparsity, bcd_fit, fw_solve
 from .baselines import vem_fit
 
@@ -90,8 +90,10 @@ class ExperimentConfig:
     persist_plans: bool = False
 
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method: {self.method!r}")
+        for name, kinds in (("method", METHODS), ("loss", LOSS_KINDS),
+                            ("scenario", SCENARIO_KINDS), ("proportions", PROPORTION_KINDS)):
+            if getattr(self, name) not in kinds:
+                raise ValueError(f"unknown {name}: {getattr(self, name)!r}")
         if self.n < 2 or self.k_true < 1 or self.k_search < 1:
             raise ValueError("n, k_true and k_search must be positive (n >= 2)")
         if not self.p_in_grid:

@@ -204,28 +204,23 @@ def _plan_matrix(plan) -> np.ndarray:
     return np.asarray(plan, dtype=np.float64)
 
 
-def _adjacency_matrix(adj) -> np.ndarray:
-    """Entries of an adjacency matrix; raw arrays are validated on the way."""
-    if not isinstance(adj, AdjacencyMatrix):
-        adj = AdjacencyMatrix(adj)
-    return adj.entries
-
-
 class CostKernel:
     """Caches the per-graph arrays needed to apply the pairwise cost.
 
-    ``a`` is the adjacency matrix and ``fa`` is ``f1(A)``, both as
-    ``scipy.sparse`` CSR arrays.  ``f1`` is evaluated on A's stored entries
-    only (``f1(0) = 0``) and entries where it vanishes are dropped, so
-    ``fa`` is empty for the Bernoulli and exponential losses.  Each
-    :meth:`cost` call then costs O(|E| k + n k^2): one sparse ``A @ T``
-    plus products with the k x k connectivity.
+    ``a`` is the :class:`AdjacencyMatrix`'s own CSR array, shared, not
+    copied, and ``fa`` is ``f1(A)`` as a CSR array.  ``f1`` is evaluated on
+    A's stored entries only (``f1(0) = 0``) and entries where it vanishes
+    are dropped, so ``fa`` is empty for the Bernoulli and exponential
+    losses.  Each :meth:`cost` call then costs O(|E| k + n k^2): one
+    sparse ``A @ T`` plus products with the k x k connectivity.
     """
 
     def __init__(self, adj, loss: CompositeLoss):
+        if not isinstance(adj, AdjacencyMatrix):
+            adj = AdjacencyMatrix(adj)
         self.loss = loss
-        self.a = sparse.csr_array(_adjacency_matrix(adj))
-        self.n = self.a.shape[0]
+        self.a = adj.csr
+        self.n = adj.n
         fa = self.a.copy()
         fa.data = np.asarray(loss.f1(fa.data), dtype=np.float64)
         fa.eliminate_zeros()

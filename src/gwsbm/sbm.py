@@ -2,7 +2,7 @@
 
 A block model is described by a symmetric connectivity matrix (edge
 probabilities between clusters) and a vector of cluster proportions.
-Graphs are undirected, simple (zero diagonal) and stored dense.
+Graphs are undirected, simple (zero diagonal) and stored as sparse CSR.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 #: Margin that keeps connectivity entries away from {0, 1} so that
 #: log-based losses stay finite.
@@ -28,40 +29,64 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Dense symmetric pairwise-relation matrix with a zero diagonal.
+    """Symmetric pairwise-relation matrix with a zero diagonal, stored as CSR.
 
-    A read-only float64 array that owns its memory is adopted as it is,
-    which is how the reader and the sampler hand over the fresh arrays
-    they build; any other input is copied, so later writes to it cannot
-    reach the matrix.
+    Any input, dense or ``scipy.sparse``, becomes a fresh canonical CSR
+    array (sorted indices, no duplicates, no stored zeros) with read-only
+    arrays, so later writes to the input cannot reach it.  ``csr`` is the
+    only array held, O(|E|) in memory.
     """
 
-    entries: np.ndarray
+    csr: sparse.csr_array
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        a = self.csr if sparse.issparse(self.csr) else np.asarray(self.csr, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        if arr.shape[0] < 1:
+        if a.shape[0] < 1:
             raise ValueError("adjacency matrix must be nonempty")
-        if not np.isfinite(arr).all():
+        a = sparse.csr_array(a, dtype=np.float64, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        if not np.isfinite(a.data).all():
             raise ValueError("adjacency entries must be finite")
-        if not np.array_equal(arr, arr.T):
+        if (a != a.T).nnz:
             raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diagonal(arr) != 0.0):
+        if a.diagonal().any():
             raise ValueError("adjacency diagonal must be zero")
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = _readonly(arr)
-        object.__setattr__(self, "entries", arr)
+        for arr in (a.data, a.indices, a.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "csr", a)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.csr.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only dense copy of A, built on each call in O(n^2) memory."""
+        arr = self.csr.toarray()
+        arr.setflags(write=False)
+        return arr
 
     def edge_count(self) -> int:
         """Number of undirected edges (nonzero upper-triangle entries)."""
         # Symmetric with a zero diagonal, so each edge is stored exactly twice.
-        return int(np.count_nonzero(self.entries)) // 2
+        return self.csr.nnz // 2
+
+
+def adjacency_from_edges(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyMatrix:
+    """Binary graph on ``n`` nodes with an edge for each pair ``(i[e], j[e])``.
+
+    Pairs must satisfy ``0 <= i < j < n``; a repeated pair is stored once.
+    """
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows = np.concatenate([i, j]).astype(index)
+    cols = np.concatenate([j, i]).astype(index)
+    a = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    del rows, cols  # keep the peak at one CSR plus its copy below
+    a.data[:] = 1.0  # the conversion sums a repeated pair; an edge is 0 or 1
+    return AdjacencyMatrix(a)
 
 
 @dataclass(frozen=True)
@@ -245,12 +270,10 @@ def sample_graph(
         raise ValueError("edge probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     z = rng.choice(conn.k, size=n, p=props.weights).astype(np.int64)
-    u = rng.random((n, n))
-    probs = p[z[:, None], z[None, :]]
-    upper = np.triu(u < probs, 1)
-    a = (upper | upper.T).astype(np.float64)
-    a.setflags(write=False)
-    return AdjacencyMatrix(a), Labels(z, conn.k)
+    # one expression, so the n x n uniforms and probabilities are freed
+    # before the graph is built
+    i, j = np.nonzero(np.triu(rng.random((n, n)) < p[z[:, None], z[None, :]], 1))
+    return adjacency_from_edges(n, i, j), Labels(z, conn.k)
 
 
 def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:
@@ -264,7 +287,7 @@ def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:
     z = labels.values
     onehot = np.zeros((adj.n, k))
     onehot[np.arange(adj.n), z] = 1.0
-    counts = onehot.T @ adj.entries @ onehot
+    counts = onehot.T @ (adj.csr @ onehot)
     sizes = onehot.sum(axis=0)
     pairs = np.outer(sizes, sizes) - np.diag(sizes)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import brute_force_srgw
+from .baselines import _assignment_digits, _golden_max, brute_force_srgw
 from .initplans import labels_to_plan, spectral_init, uniform_plan
 from .losses import (
     TransportPlan,
@@ -51,24 +51,6 @@ def _naive_cost(a, t, theta, loss):
                     acc += float(loss(a[i, j], theta[kk, ll])) * t[j, ll]
             m[i, kk] = acc
     return m
-
-
-def _golden_min(f, lo, hi, iters=120):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return c if fc < fd else d
 
 
 def _random_instance(rng, n, k):
@@ -138,7 +120,7 @@ def _checks():
                 trial[kk, ll] = trial[ll, kk] = b
                 return srgw_objective(adj, plan, ConnectivityMatrix(trial), loss)
 
-            found = _golden_min(cell_obj, 1e-6, 1 - 1e-6)
+            found, _ = _golden_max(lambda b: -cell_obj(b), 1e-6, 1 - 1e-6)
             ok = ok and abs(found - fitted.raw[kk, ll]) < 1e-6
     yield ("closed-form connectivity matches per-cell search", ok)
 
@@ -164,8 +146,7 @@ def _checks():
     adj_small, _, theta_small = _random_instance(rng2, 5, 2)
     best, _ = brute_force_srgw(adj_small, loss, theta_small)
     vals = []
-    for code in range(2**5):
-        z = np.array([(code >> i) & 1 for i in range(5)], dtype=np.int64)
+    for z in _assignment_digits(0, 2**5, 5, 2):
         start = labels_to_plan(Labels(z, 2))
         sol = fw_solve(adj_small, loss, theta_small, start)
         vals.append(srgw_objective(adj_small, sol, theta_small, loss))

@@ -89,6 +89,9 @@ class TestConfig:
             dict(sparsity=None, sparsity_grid=[0.0, float("inf")]),
             dict(sparsity=None, sparsity_grid=[-1.0, 0.0]),
             dict(n=1),
+            dict(loss="no_such_loss"),
+            dict(scenario="no_such_scenario"),
+            dict(proportions="no_such_proportions"),
         ):
             with pytest.raises(ValueError):
                 tiny_config(tmp_path, **bad).validate()
@@ -342,6 +345,12 @@ class TestCli:
         for bad in (float("nan"), float("inf"), -1.0):
             path.write_text(json.dumps({**config.to_dict(), "lambda": bad}))
             assert cli_dispatch(["experiment", "ari-sweep", "--config", str(path)]) == 1, bad
+        Path(config.output_path).unlink()
+        for field, bad in (("loss", "no_such_loss"), ("scenario", "no_such_scenario"),
+                           ("proportions", "no_such_proportions")):
+            path.write_text(json.dumps({**config.to_dict(), field: bad}))
+            assert cli_dispatch(["experiment", "ari-sweep", "--config", str(path)]) == 1, field
+            assert not Path(config.output_path).exists(), field
 
     def test_unknown_subcommand_exit_code(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1

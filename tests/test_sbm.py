@@ -1,7 +1,10 @@
 """Generator, scenario and plain-text I/O tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gwsbm import (
     AdjacencyMatrix,
@@ -16,6 +19,10 @@ from gwsbm import (
     unbalanced_proportions,
 )
 from gwsbm import graphio
+from gwsbm.initplans import spectral_init
+from gwsbm.losses import make_loss
+from gwsbm.sbm import adjacency_from_edges
+from gwsbm.solver import bcd_fit
 
 
 def test_assortative_scenario_matrix():
@@ -168,6 +175,52 @@ class TestTypeValidation:
         a[0, 1] = a[1, 0] = 1.0
         assert adj.edge_count() == 0
 
+    def test_adjacency_stores_one_read_only_csr(self):
+        a = np.zeros((3, 3))
+        a[0, 1] = a[1, 0] = 2.0
+        adj = AdjacencyMatrix(a)
+        assert list(vars(adj)) == ["csr"]
+        assert adj.csr.format == "csr" and adj.csr.has_canonical_format
+        for arr in (adj.csr.data, adj.csr.indices, adj.csr.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert np.array_equal(adj.entries, a)
+
+    def test_sparse_adjacency_rejects_asymmetry(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            AdjacencyMatrix(sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        # same pattern, different values
+        with pytest.raises(ValueError, match="symmetric"):
+            AdjacencyMatrix(sparse.csr_array(np.array([[0.0, 1.0], [2.0, 0.0]])))
+
+    def test_sparse_adjacency_rejects_stored_diagonal(self):
+        a = sparse.coo_array(([1.0, 1.0, 3.0], ([0, 1, 2], [1, 0, 2])), shape=(3, 3))
+        with pytest.raises(ValueError, match="diagonal"):
+            AdjacencyMatrix(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sparse_adjacency_rejects_non_finite(self, bad):
+        a = sparse.csr_array(([bad, bad], [1, 0], [0, 1, 2]), shape=(2, 2))
+        with pytest.raises(ValueError, match="finite"):
+            AdjacencyMatrix(a)
+
+    def test_sparse_adjacency_drops_stored_zeros(self):
+        # edge (0, 1) plus explicit zeros at (1, 2)/(2, 1) and a stored diagonal zero
+        a = sparse.coo_array(
+            ([1.0, 1.0, 0.0, 0.0, 0.0], ([0, 1, 1, 2, 0], [1, 0, 2, 1, 0])), shape=(3, 3)
+        )
+        adj = AdjacencyMatrix(a)
+        assert adj.edge_count() == 1
+        assert adj.csr.nnz == 2 and np.all(adj.csr.data != 0.0)
+
+    def test_sparse_adjacency_copies_its_input(self):
+        a = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        adj = AdjacencyMatrix(a)
+        a.data[:] = 5.0
+        assert np.array_equal(adj.csr.data, [1.0, 1.0])
+        assert not np.shares_memory(adj.csr.data, a.data)
+        assert not np.shares_memory(adj.csr.indices, a.indices)
+
     def test_connectivity_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             ConnectivityMatrix(np.array([[0.5, 0.1], [0.2, 0.5]]))
@@ -296,3 +349,49 @@ class TestGraphIO:
         path = tmp_path / "m.csv"
         graphio.write_matrix_csv(mat, path)
         assert np.array_equal(graphio.read_matrix_csv(path), mat)
+
+
+class TestSingleRepresentation:
+    def test_adjacency_from_edges_matches_dense_and_stores_repeats_once(self):
+        i = np.array([1, 0, 0, 2, 0])
+        j = np.array([3, 1, 2, 3, 1])
+        adj = adjacency_from_edges(4, i, j)
+        dense = np.zeros((4, 4))
+        dense[i, j] = dense[j, i] = 1.0
+        want = AdjacencyMatrix(dense).csr
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(adj.csr, name), getattr(want, name))
+        assert adj.edge_count() == 4
+
+    def test_fit_pipeline_never_builds_a_dense_graph(self, tmp_path, monkeypatch):
+        """At n=1000 the reader, spectral start, solver, writer, edge count and
+        block densities all run on the CSR: a dense copy of A raises, and the
+        traced peak stays below one n x n float array."""
+        n = 1000
+        conn = build_scenario("assortative", 3, 0.12, 0.02)
+        adj, labels = sample_graph(conn, balanced_proportions(3), n, seed=4)
+        first = tmp_path / "first.txt"
+        graphio.write_edge_list(adj, first)
+
+        def refuse(self):
+            raise AssertionError("dense adjacency built")
+
+        monkeypatch.setattr(AdjacencyMatrix, "entries", property(refuse))
+        monkeypatch.setattr(sparse.csr_array, "toarray", refuse)
+        tracemalloc.start()
+        try:
+            back = graphio.read_edge_list(first)
+            plan0 = spectral_init(back, 10, seed=4)
+            result = bcd_fit(back, make_loss("bernoulli_nll"), plan0, sparsity=10 / (2 * n))
+            second = tmp_path / "second.txt"
+            graphio.write_edge_list(back, second)
+            edges = back.edge_count()
+            dens = block_densities(back, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+        assert second.read_bytes() == first.read_bytes()
+        assert edges == adj.edge_count() > 0
+        assert result.k_hat == 3
+        assert np.all((dens > 0.0) & (dens < 0.2))
