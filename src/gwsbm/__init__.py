@@ -22,6 +22,7 @@ from .graphio import (
     write_matrix_csv,
 )
 from .harness import (
+    ConsistencyRow,
     ExperimentConfig,
     ResultRow,
     auto_sparsity,
@@ -84,6 +85,7 @@ __all__ = [
     "AdjacencyMatrix",
     "CompositeLoss",
     "ConnectivityMatrix",
+    "ConsistencyRow",
     "CostKernel",
     "ExperimentConfig",
     "FitResult",

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for sweep cells; consistency ladders run in one process",
+        help="worker processes for experiment cells (sweep grid values or ladder rungs)",
     )
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
@@ -158,12 +158,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    if args.kind == "ari-sweep":
-        rows = run_ari_sweep(config, jobs=args.jobs)
-    elif args.kind == "lambda-sweep":
-        rows = run_lambda_sweep(config, jobs=args.jobs)
-    else:
-        rows = run_consistency(config)
+    run = {
+        "ari-sweep": run_ari_sweep,
+        "lambda-sweep": run_lambda_sweep,
+        "consistency": run_consistency,
+    }[args.kind]
+    rows = run(config, jobs=args.jobs)
     print(f"wrote {config.output_path}: {len(rows)} rows")
     return 0
 

@@ -1,8 +1,12 @@
-"""Experiment harness: config-driven sweeps written to CSV.
+"""Experiment harness: config-driven experiments written to CSV.
 
-Each sweep cell (one grid value) is computed independently, written
-atomically to its own shard, and merged into the final CSV; interrupted
-runs resume by skipping shards that already exist.  Everything except
+Every experiment kind is a list of cells (one grid value each), and all
+of them run through :func:`_run_cells`: each cell is computed
+independently, written atomically to its own shard, and merged into the
+final CSV.  Interrupted runs resume by skipping shards that already
+exist; a rerun with a different config is refused rather than mixed
+with the old shards.  One codec, driven by the fields of the row
+dataclasses, writes and reads both result schemas.  Everything except
 the recorded wall-clock times is deterministic for a fixed config.
 """
 
@@ -12,8 +16,9 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import graphio
 from .initplans import spectral_init
@@ -27,34 +32,12 @@ SCHEMA_VERSION = 1
 
 METHODS = ("srgw_nll", "srgw_l2", "vem", "spectral_only")
 
-RESULT_COLUMNS = (
-    "scenario",
-    "method",
-    "n",
-    "k_true",
-    "k_search",
-    "p_in",
-    "p_out",
-    "lambda",
-    "seed",
-    "ari",
-    "k_hat",
-    "theta_error",
-    "final_loss",
-    "runtime_ms",
-)
+#: The loss each fitting method minimizes; a config must name the same one.
+#: ``spectral_only`` fits nothing, so it takes any loss.
+METHOD_LOSS = {"srgw_nll": "bernoulli_nll", "srgw_l2": "squared", "vem": "bernoulli_nll"}
 
-CONSISTENCY_COLUMNS = (
-    "scenario",
-    "n",
-    "k",
-    "p_in",
-    "p_out",
-    "seed",
-    "plan_l1_error",
-    "theta_error",
-    "runtime_ms",
-)
+#: Outside Python (JSON configs, CSV headers) the penalty is spelled lambda.
+_EXTERNAL_NAMES = {"sparsity": "lambda", "sparsity_grid": "lambda_grid"}
 
 
 def auto_sparsity(k_search: int, n: int) -> float:
@@ -64,7 +47,7 @@ def auto_sparsity(k_search: int, n: int) -> float:
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one sweep.
+    """Declarative description of one experiment.
 
     ``sparsity`` may be the string ``"auto"`` (resolved to
     ``k_search / (2 n)``), a number, or ``None`` when ``sparsity_grid``
@@ -94,6 +77,10 @@ class ExperimentConfig:
                             ("scenario", SCENARIO_KINDS), ("proportions", PROPORTION_KINDS)):
             if getattr(self, name) not in kinds:
                 raise ValueError(f"unknown {name}: {getattr(self, name)!r}")
+        if METHOD_LOSS.get(self.method, self.loss) != self.loss:
+            raise ValueError(
+                f"method {self.method!r} fits loss {METHOD_LOSS[self.method]!r}, not {self.loss!r}"
+            )
         if self.n < 2 or self.k_true < 1 or self.k_search < 1:
             raise ValueError("n, k_true and k_search must be positive (n >= 2)")
         if not self.p_in_grid:
@@ -110,9 +97,9 @@ class ExperimentConfig:
         elif self.sparsity is not None:
             _check_sparsity(self.sparsity)
 
-    def resolved_sparsity(self, n: int | None = None) -> float:
+    def resolved_sparsity(self) -> float:
         if self.sparsity == "auto":
-            return auto_sparsity(self.k_search, n or self.n)
+            return auto_sparsity(self.k_search, self.n)
         return float(self.sparsity or 0.0)
 
     @classmethod
@@ -124,19 +111,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        if "lambda" in data:
-            data["sparsity"] = data.pop("lambda")
-        if "lambda_grid" in data:
-            data["sparsity_grid"] = data.pop("lambda_grid")
+        for name, external in _EXTERNAL_NAMES.items():
+            if external in data:
+                data[name] = data.pop(external)
         config = cls(**data)
         config.validate()
         return config
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["lambda"] = data.pop("sparsity")
-        data["lambda_grid"] = data.pop("sparsity_grid")
-        return data
+        return {_EXTERNAL_NAMES.get(k, k): v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -158,24 +141,54 @@ class ResultRow:
     final_loss: float
     runtime_ms: float
 
-    def as_csv(self) -> str:
-        values = (
-            self.scenario,
-            self.method,
-            self.n,
-            self.k_true,
-            self.k_search,
-            repr(float(self.p_in)),
-            repr(float(self.p_out)),
-            repr(float(self.sparsity)),
-            self.seed,
-            repr(float(self.ari)),
-            self.k_hat,
-            repr(float(self.theta_error)),
-            repr(float(self.final_loss)),
-            repr(float(self.runtime_ms)),
-        )
-        return ",".join(str(v) for v in values)
+
+@dataclass
+class ConsistencyRow:
+    """One seed on one rung (graph size) of the consistency ladder."""
+
+    scenario: str
+    n: int
+    k: int
+    p_in: float
+    p_out: float
+    seed: int
+    plan_l1_error: float
+    theta_error: float
+    runtime_ms: float
+
+
+def _columns(row_type: type) -> tuple[str, ...]:
+    return tuple(_EXTERNAL_NAMES.get(f.name, f.name) for f in fields(row_type))
+
+
+RESULT_COLUMNS = _columns(ResultRow)
+CONSISTENCY_COLUMNS = _columns(ConsistencyRow)
+
+
+def _schema(row_type: type) -> list[tuple[str, type]]:
+    """(attribute, annotated type) of each CSV column of a row dataclass."""
+    hints = get_type_hints(row_type)
+    return [(f.name, hints[f.name]) for f in fields(row_type)]
+
+
+def _format_row(row) -> str:
+    """One CSV line: floats at full precision, everything else as ``str``."""
+    return ",".join(
+        repr(float(getattr(row, name))) if kind is float else str(getattr(row, name))
+        for name, kind in _schema(type(row))
+    )
+
+
+def _parse_rows(csv_path: str | Path, row_type: type = ResultRow) -> list:
+    """Read a result CSV back, converting each column to its annotated type."""
+    schema = _schema(row_type)
+    header = ",".join(_columns(row_type))
+    rows = []
+    for line in Path(csv_path).read_text().split("\n"):
+        if line and not line.startswith("#") and line != header:
+            values = line.split(",")
+            rows.append(row_type(**{name: kind(v) for (name, kind), v in zip(schema, values)}))
+    return rows
 
 
 def _fit_one_seed(
@@ -183,141 +196,146 @@ def _fit_one_seed(
     p_in: float,
     sparsity: float,
     seed: int,
-    n: int | None = None,
 ) -> tuple[ResultRow, TransportPlan | None]:
-    n = n or config.n
+    n = config.n
     conn_star = build_scenario(config.scenario, config.k_true, p_in, config.p_out)
     props = make_proportions(config.proportions, config.k_true)
     adj, labels_star = sample_graph(conn_star, props, n, seed)
     plan0 = spectral_init(adj, config.k_search, seed)
-    plan = None
-    if config.method in ("srgw_nll", "srgw_l2"):
-        loss = make_loss("bernoulli_nll" if config.method == "srgw_nll" else "squared")
-        result = bcd_fit(adj, loss, plan0, sparsity=sparsity)
-        plan = result.plan
-        labels_hat = result.labels
-        k_hat = result.k_hat
-        theta_hat = result.connectivity
-        final_loss = result.loss_history[-1]
-        runtime_ms = result.runtime_ms
-    elif config.method == "vem":
-        start = time.perf_counter()
+    start = time.perf_counter()
+    if config.method == "vem":
         state = vem_fit(adj, config.k_search, plan0.matrix * n)
-        runtime_ms = (time.perf_counter() - start) * 1e3
-        plan = TransportPlan(state.resp / n)
-        labels_hat = hard_labels(plan)
-        k_hat = selected_k(plan)
-        theta_hat = state.connectivity
-        final_loss = -state.elbo
-    else:  # spectral_only
-        start = time.perf_counter()
-        plan = plan0
-        runtime_ms = (time.perf_counter() - start) * 1e3
-        labels_hat = hard_labels(plan)
-        k_hat = selected_k(plan)
-        theta_hat = None
-        final_loss = float("nan")
+        plan, theta_hat, final_loss = TransportPlan(state.resp / n), state.connectivity, -state.elbo
+    elif config.method == "spectral_only":
+        plan, theta_hat, final_loss = plan0, None, float("nan")
+    else:
+        result = bcd_fit(adj, make_loss(config.loss), plan0, sparsity=sparsity)
+        plan, theta_hat, final_loss = result.plan, result.connectivity, result.loss_history[-1]
+    runtime_ms = (time.perf_counter() - start) * 1e3
+    labels_hat = hard_labels(plan)
     theta_err = (
         float("nan")
         if theta_hat is None
         else connectivity_error(theta_hat, conn_star, labels_hat, labels_star)
     )
     row = ResultRow(
-        scenario=config.scenario,
-        method=config.method,
-        n=n,
-        k_true=config.k_true,
-        k_search=config.k_search,
-        p_in=p_in,
-        p_out=config.p_out,
-        sparsity=sparsity,
-        seed=seed,
-        ari=ari(labels_hat, labels_star),
-        k_hat=k_hat,
-        theta_error=theta_err,
-        final_loss=final_loss,
-        runtime_ms=runtime_ms,
+        scenario=config.scenario, method=config.method, n=n, k_true=config.k_true,
+        k_search=config.k_search, p_in=p_in, p_out=config.p_out, sparsity=sparsity, seed=seed,
+        ari=ari(labels_hat, labels_star), k_hat=selected_k(plan), theta_error=theta_err,
+        final_loss=final_loss, runtime_ms=runtime_ms,
     )
     return row, (plan if config.persist_plans else None)
+
+
+def _sweep_cell(
+    config: ExperimentConfig, key: str, p_in: float, sparsity: float
+) -> list[ResultRow]:
+    """Every seed of one sweep cell; persisted plans go beside its shard."""
+    rows = []
+    for seed in config.seeds:
+        row, plan = _fit_one_seed(config, p_in, sparsity, seed)
+        rows.append(row)
+        if plan is not None:
+            plan_path = _cells_dir(config.output_path) / f"plan_{key}_seed{seed}.csv"
+            graphio.write_matrix_csv(plan.matrix, plan_path)
+    return rows
+
+
+def _ladder_cell(config: ExperimentConfig, key: str, n: int) -> list[ConsistencyRow]:
+    """Every seed of one consistency rung (graph size ``n``).
+
+    Per seed: (a) solve the plan at the true connectivity from a spectral
+    start and record the L1 distance to the planted hard plan (up to
+    relabeling); (b) run the full alternating fit without penalty and
+    record the aligned connectivity error.
+    """
+    p_in = config.p_in_grid[0]
+    loss = make_loss(config.loss)
+    conn_star = build_scenario(config.scenario, config.k_true, p_in, config.p_out)
+    props = make_proportions(config.proportions, config.k_true)
+    rows = []
+    for seed in config.seeds:
+        adj, labels_star = sample_graph(conn_star, props, n, seed)
+        plan0 = spectral_init(adj, config.k_true, seed)
+        start = time.perf_counter()
+        plan_err = aligned_plan_error(fw_solve(adj, loss, conn_star, plan0), labels_star)
+        result = bcd_fit(adj, loss, plan0)
+        theta_err = connectivity_error(result.connectivity, conn_star, result.labels, labels_star)
+        runtime_ms = (time.perf_counter() - start) * 1e3
+        rows.append(ConsistencyRow(
+            scenario=config.scenario, n=n, k=config.k_true, p_in=p_in, p_out=config.p_out,
+            seed=seed, plan_l1_error=plan_err, theta_error=theta_err, runtime_ms=runtime_ms,
+        ))
+    return rows
 
 
 def _cells_dir(output_path: str | Path) -> Path:
     return Path(str(output_path) + ".cells")
 
 
-def _compute_cell(args) -> tuple[str, list[str]]:
-    config_data, key, p_in, sparsity = args
-    config = ExperimentConfig.from_dict(config_data)
-    lines = []
-    for seed in config.seeds:
-        row, plan = _fit_one_seed(config, p_in, sparsity, seed)
-        lines.append(row.as_csv())
-        if plan is not None:
-            plan_path = _cells_dir(config.output_path) / f"plan_{key}_seed{seed}.csv"
-            graphio.write_matrix_csv(plan.matrix, plan_path)
-    return key, lines
+def _claim_cells_dir(config: ExperimentConfig) -> Path:
+    """Create the shard directory, or check that its shards are this config's.
 
-
-def _run_cells(config: ExperimentConfig, cells: list[tuple[str, float, float]], jobs: int | None):
-    """Compute missing cells (optionally in parallel) and merge shards."""
+    The config (less ``output_path``) is recorded in ``config.json`` before
+    any shard is written.  Shards computed under another config, or under
+    one never recorded, would silently mix into the merged CSV, so they
+    are an error.
+    """
     cells_dir = _cells_dir(config.output_path)
+    recorded = {k: v for k, v in config.to_dict().items() if k != "output_path"}
+    text = json.dumps(recorded, indent=2, sort_keys=True) + "\n"
+    stamp = cells_dir / "config.json"
+    if stamp.exists() and stamp.read_text() == text:
+        return cells_dir
+    if stamp.exists() or any(cells_dir.glob("*.csv")):
+        raise ValueError(
+            f"{cells_dir} holds cells of another config; "
+            "remove it or choose another output_path"
+        )
     cells_dir.mkdir(parents=True, exist_ok=True)
-    pending = []
-    for key, p_in, sparsity in cells:
-        if not (cells_dir / f"{key}.csv").exists():
-            pending.append((config.to_dict(), key, p_in, sparsity))
+    graphio._atomic_write_text(stamp, text)
+    return cells_dir
+
+
+def _compute_cell(job) -> tuple[str, str]:
+    cell_fn, config, key, params = job
+    return key, "".join(_format_row(row) + "\n" for row in cell_fn(config, key, *params))
+
+
+def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int | None) -> list:
+    """Compute the missing cells (optionally in parallel), merge, parse back.
+
+    Each cell is ``(key, cell function, params)``; the function is called
+    as ``cell_fn(config, key, *params)`` and returns the cell's rows.
+    """
+    cells_dir = _claim_cells_dir(config)
+    pending = [
+        (cell_fn, config, key, params)
+        for key, cell_fn, params in cells
+        if not (cells_dir / f"{key}.csv").exists()
+    ]
     n_jobs = max(1, jobs or 1)
     with ExitStack() as stack:
         mapper = map
         if pending and n_jobs > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=n_jobs)).map
-        for key, lines in mapper(_compute_cell, pending):
-            graphio._atomic_write_text(cells_dir / f"{key}.csv", "\n".join(lines) + "\n")
-    body = [f"# schema_version: {SCHEMA_VERSION}", ",".join(RESULT_COLUMNS)]
-    for key, _, _ in cells:
-        body.extend((cells_dir / f"{key}.csv").read_text().strip().split("\n"))
-    graphio._atomic_write_text(config.output_path, "\n".join(body) + "\n")
-
-
-def _parse_rows(csv_path: str | Path) -> list[ResultRow]:
-    rows = []
-    with open(csv_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith(RESULT_COLUMNS[0] + ","):
-                continue
-            parts = line.split(",")
-            rows.append(
-                ResultRow(
-                    scenario=parts[0],
-                    method=parts[1],
-                    n=int(parts[2]),
-                    k_true=int(parts[3]),
-                    k_search=int(parts[4]),
-                    p_in=float(parts[5]),
-                    p_out=float(parts[6]),
-                    sparsity=float(parts[7]),
-                    seed=int(parts[8]),
-                    ari=float(parts[9]),
-                    k_hat=int(parts[10]),
-                    theta_error=float(parts[11]),
-                    final_loss=float(parts[12]),
-                    runtime_ms=float(parts[13]),
-                )
-            )
-    return rows
+        for key, text in mapper(_compute_cell, pending):
+            graphio._atomic_write_text(cells_dir / f"{key}.csv", text)
+    header = f"# schema_version: {SCHEMA_VERSION}\n" + ",".join(_columns(row_type)) + "\n"
+    body = "".join((cells_dir / f"{key}.csv").read_text() for key, _, _ in cells)
+    graphio._atomic_write_text(config.output_path, header + body)
+    return _parse_rows(config.output_path, row_type)
 
 
 def run_ari_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[ResultRow]:
     """Sweep the within-cluster rate grid and fit every seed of every cell."""
     config.validate()
-    cells = []
-    for p_in in config.p_in_grid:
-        sparsity = config.resolved_sparsity()
-        key = f"ari_{config.method}_pin{p_in:.8g}"
-        cells.append((key, float(p_in), sparsity))
-    _run_cells(config, cells, jobs)
-    return _parse_rows(config.output_path)
+    sparsity = config.resolved_sparsity()
+    cells = [
+        (f"ari_{config.method}_pin{p_in:.8g}", _sweep_cell, (float(p_in), sparsity))
+        for p_in in config.p_in_grid
+    ]
+    return _run_cells(config, ResultRow, cells, jobs)
 
 
 def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[ResultRow]:
@@ -325,64 +343,21 @@ def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[
     config.validate()
     if not config.sparsity_grid:
         raise ValueError("penalty sweep needs a sparsity grid")
-    p_in = config.p_in_grid[0]
-    cells = []
-    for sparsity in config.sparsity_grid:
-        key = f"lam_{config.method}_lam{sparsity:.8g}"
-        cells.append((key, float(p_in), float(sparsity)))
-    _run_cells(config, cells, jobs)
-    return _parse_rows(config.output_path)
+    p_in = float(config.p_in_grid[0])
+    cells = [
+        (f"lam_{config.method}_lam{sparsity:.8g}", _sweep_cell, (p_in, float(sparsity)))
+        for sparsity in config.sparsity_grid
+    ]
+    return _run_cells(config, ResultRow, cells, jobs)
 
 
-def run_consistency(config: ExperimentConfig) -> list[dict]:
-    """Estimation error ladder over growing graphs.
+def run_consistency(config: ExperimentConfig, jobs: int | None = None) -> list[ConsistencyRow]:
+    """Estimation error ladder over growing graphs, one cell per size in ``n_grid``.
 
-    For each size in ``n_grid`` and each seed: (a) solve the plan at the
-    true connectivity from a spectral start and record the L1 distance to
-    the planted hard plan (up to relabeling); (b) run the full alternating
-    fit without penalty and record the aligned connectivity error.  The
-    ladder runs in one process.
+    See :func:`_ladder_cell` for what each seed records.
     """
     config.validate()
     if not config.n_grid:
         raise ValueError("consistency experiment needs n_grid")
-    p_in = config.p_in_grid[0]
-    loss = make_loss(config.loss)
-    records = []
-    for n in config.n_grid:
-        for seed in config.seeds:
-            conn_star = build_scenario(config.scenario, config.k_true, p_in, config.p_out)
-            props = make_proportions(config.proportions, config.k_true)
-            adj, labels_star = sample_graph(conn_star, props, n, seed)
-            plan0 = spectral_init(adj, config.k_true, seed)
-            start = time.perf_counter()
-            plan_hat = fw_solve(adj, loss, conn_star, plan0)
-            plan_err = aligned_plan_error(plan_hat, labels_star)
-            result = bcd_fit(adj, loss, plan0)
-            theta_err = connectivity_error(
-                result.connectivity, conn_star, result.labels, labels_star
-            )
-            runtime_ms = (time.perf_counter() - start) * 1e3
-            records.append(
-                {
-                    "scenario": config.scenario,
-                    "n": n,
-                    "k": config.k_true,
-                    "p_in": p_in,
-                    "p_out": config.p_out,
-                    "seed": seed,
-                    "plan_l1_error": plan_err,
-                    "theta_error": theta_err,
-                    "runtime_ms": runtime_ms,
-                }
-            )
-    lines = [f"# schema_version: {SCHEMA_VERSION}", ",".join(CONSISTENCY_COLUMNS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                str(rec[c]) if c in ("scenario", "n", "k", "seed") else repr(float(rec[c]))
-                for c in CONSISTENCY_COLUMNS
-            )
-        )
-    graphio._atomic_write_text(config.output_path, "\n".join(lines) + "\n")
-    return records
+    cells = [(f"ladder_n{n}", _ladder_cell, (int(n),)) for n in config.n_grid]
+    return _run_cells(config, ConsistencyRow, cells, jobs)

@@ -209,10 +209,11 @@ class CostKernel:
 
     ``a`` is the :class:`AdjacencyMatrix`'s own CSR array, shared, not
     copied, and ``fa`` is ``f1(A)`` as a CSR array.  ``f1`` is evaluated on
-    A's stored entries only (``f1(0) = 0``) and entries where it vanishes
-    are dropped, so ``fa`` is empty for the Bernoulli and exponential
-    losses.  Each :meth:`cost` call then costs O(|E| k + n k^2): one
-    sparse ``A @ T`` plus products with the k x k connectivity.
+    A's stored values only (``f1(0) = 0``) and ``fa`` is built from the
+    entries where it does not vanish, without copying A, so it is empty
+    for the Bernoulli and exponential losses.  Each :meth:`cost` call then
+    costs O(|E| k + n k^2): one sparse ``A @ T`` plus products with the
+    k x k connectivity.
     """
 
     def __init__(self, adj, loss: CompositeLoss):
@@ -221,10 +222,16 @@ class CostKernel:
         self.loss = loss
         self.a = adj.csr
         self.n = adj.n
-        fa = self.a.copy()
-        fa.data = np.asarray(loss.f1(fa.data), dtype=np.float64)
-        fa.eliminate_zeros()
-        self.fa = fa
+        f1 = np.asarray(loss.f1(self.a.data), dtype=np.float64)
+        if np.all(f1):  # f1 vanishes nowhere on A's pattern: share it
+            self.fa = sparse.csr_array((f1, self.a.indices, self.a.indptr), shape=self.a.shape)
+        else:
+            kept = np.flatnonzero(f1)
+            # fa's row pointers: the kept entries that precede each row of A
+            indptr = np.searchsorted(kept, self.a.indptr)
+            self.fa = sparse.csr_array(
+                (f1[kept], self.a.indices[kept], indptr), shape=self.a.shape
+            )
 
     def cost(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Apply the cost tensor to a plan, excluding i == j terms exactly.

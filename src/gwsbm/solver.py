@@ -268,12 +268,6 @@ def _fw_core(
     return t, obj
 
 
-def _prepared(adj, loss: CompositeLoss, conn) -> tuple[CostKernel, np.ndarray]:
-    kernel = CostKernel(adj, loss)
-    theta = loss.prepare_theta(conn)
-    return kernel, theta
-
-
 def fw_solve(
     adj,
     loss: CompositeLoss,
@@ -283,15 +277,11 @@ def fw_solve(
 ) -> TransportPlan:
     """Minimize the objective at fixed connectivity from a feasible start.
 
-    Ties in the row-wise oracle resolve to the lowest cluster index, so
-    runs are deterministic.
+    This is :func:`mm_solve` without penalty: one Frank-Wolfe run.  Ties
+    in the row-wise oracle resolve to the lowest cluster index, so runs
+    are deterministic.
     """
-    kernel, theta = _prepared(adj, loss, conn)
-    t0 = _plan_matrix(plan0)
-    if t0.shape[0] != kernel.n or theta.shape[0] != t0.shape[1]:
-        raise ValueError("plan, adjacency and connectivity shapes disagree")
-    t, _ = _fw_core(kernel, theta, t0, None, on_iterate)
-    return TransportPlan(t)
+    return mm_solve(adj, loss, conn, plan0, on_iterate=on_iterate)
 
 
 def _mm_core(
@@ -329,12 +319,13 @@ def mm_solve(
     """Minimize objective plus sparsity penalty by majorize-minimize rounds.
 
     Each round replaces the concave penalty with its tangent at the
-    current plan and calls :func:`fw_solve` warm-started, stopping when the
+    current plan and runs Frank-Wolfe warm-started, stopping when the
     true penalized objective stalls.  With ``sparsity == 0`` this is a
     single plain Frank-Wolfe solve.
     """
     sparsity = _check_sparsity(sparsity)
-    kernel, theta = _prepared(adj, loss, conn)
+    kernel = CostKernel(adj, loss)
+    theta = loss.prepare_theta(conn)
     t0 = _plan_matrix(plan0)
     if t0.shape[0] != kernel.n or theta.shape[0] != t0.shape[1]:
         raise ValueError("plan, adjacency and connectivity shapes disagree")

@@ -1,6 +1,7 @@
 """Experiment driver, CSV plumbing, and the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -21,10 +22,18 @@ from gwsbm import (
     selected_k,
 )
 from gwsbm.cli import cli_dispatch
-from gwsbm.harness import _parse_rows
+from gwsbm.harness import (
+    CONSISTENCY_COLUMNS,
+    RESULT_COLUMNS,
+    ConsistencyRow,
+    ResultRow,
+    _parse_rows,
+    _run_cells,
+)
 from gwsbm.losses import TransportPlan
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_config(tmp_path, **overrides):
@@ -92,9 +101,20 @@ class TestConfig:
             dict(loss="no_such_loss"),
             dict(scenario="no_such_scenario"),
             dict(proportions="no_such_proportions"),
+            # each fitting method names the loss it minimizes
+            dict(method="srgw_nll", loss="squared"),
+            dict(method="srgw_nll", loss="poisson_nll"),
+            dict(method="srgw_l2", loss="bernoulli_nll"),
+            dict(method="vem", loss="squared"),
+            dict(method="vem", loss="exponential_nll"),
         ):
             with pytest.raises(ValueError):
                 tiny_config(tmp_path, **bad).validate()
+
+    def test_validation_accepts_method_loss_pairs(self, tmp_path):
+        for method, loss in (("srgw_nll", "bernoulli_nll"), ("srgw_l2", "squared"),
+                             ("vem", "bernoulli_nll"), ("spectral_only", "poisson_nll")):
+            tiny_config(tmp_path, method=method, loss=loss).validate()
 
     def test_resolved_sparsity(self, tmp_path):
         assert tiny_config(tmp_path).resolved_sparsity() == pytest.approx(4 / 120)
@@ -132,6 +152,22 @@ class TestSweeps:
         run_ari_sweep(config)  # must reuse the finished cells untouched
         assert strip_runtime(config.output_path) == first
         assert {p: p.stat().st_mtime for p in cell_files} == stamps
+
+    def test_rerun_with_changed_config_is_refused(self, tmp_path):
+        run_ari_sweep(tiny_config(tmp_path))
+        changed = tiny_config(tmp_path, seeds=[0, 1, 2], n=80)
+        with pytest.raises(ValueError, match="out.csv.cells"):
+            run_ari_sweep(changed)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(changed.to_dict()))
+        assert cli_dispatch(["experiment", "ari-sweep", "--config", str(path)]) == 1
+        fresh = tiny_config(tmp_path, seeds=[0, 1, 2], n=80,
+                            output_path=str(tmp_path / "fresh.csv"))
+        rows = run_ari_sweep(fresh)
+        assert [(r.n, r.seed) for r in rows] == [(80, 0), (80, 1), (80, 2)]
+        (tmp_path / "fresh.csv.cells" / "config.json").unlink()
+        with pytest.raises(ValueError, match="fresh.csv.cells"):
+            run_ari_sweep(fresh)  # shards whose config was never recorded
 
     def test_persisted_plans_agree_with_k_hat(self, tmp_path):
         config = tiny_config(tmp_path, persist_plans=True)
@@ -181,16 +217,70 @@ class TestSweeps:
         )
         records = run_consistency(config)
         assert len(records) == 4
-        assert {r["n"] for r in records} == {30, 60}
+        assert {r.n for r in records} == {30, 60}
         for record in records:
-            assert record["plan_l1_error"] >= 0.0
-            assert record["theta_error"] >= 0.0
+            assert record.plan_l1_error >= 0.0
+            assert record.theta_error >= 0.0
         header = Path(config.output_path).read_text().split("\n")[1]
         assert header.startswith("scenario,n,k,")
 
     def test_consistency_requires_n_grid(self, tmp_path):
         with pytest.raises(ValueError):
             run_consistency(tiny_config(tmp_path))
+
+    def test_consistency_ladder_resumes_from_cells(self, tmp_path):
+        config = tiny_config(tmp_path, k_search=2, n_grid=[30, 60], sparsity=None)
+        first = run_consistency(config)
+        text = strip_runtime(config.output_path)
+        cells = tmp_path / "out.csv.cells"
+        kept, dropped = cells / "ladder_n30.csv", cells / "ladder_n60.csv"
+        stamp = kept.stat().st_mtime
+        Path(config.output_path).unlink()
+        dropped.unlink()
+        again = run_consistency(config, jobs=2)  # recomputes only the dropped rung
+        assert strip_runtime(config.output_path) == text
+        assert kept.stat().st_mtime == stamp and dropped.exists()
+        assert [(r.n, r.seed, r.plan_l1_error) for r in again] == [
+            (r.n, r.seed, r.plan_l1_error) for r in first
+        ]
+
+
+class TestCsvCodec:
+    def roundtrip(self, tmp_path, rows):
+        config = tiny_config(tmp_path)
+        return _run_cells(config, type(rows[0]), [("cell", lambda config, key: rows, ())], None)
+
+    def assert_same(self, got, want):
+        assert type(got) is type(want)
+        for name, value in vars(want).items():
+            other = getattr(got, name)
+            assert type(other) is type(value), name
+            assert other == value or (math.isnan(other) and math.isnan(value)), name
+
+    def test_result_rows_roundtrip(self, tmp_path):
+        rows = [
+            ResultRow("assortative", "spectral_only", 60, 2, 4, 0.1 + 0.2, 0.05, 1 / 30, 0,
+                      1.0, 2, float("nan"), float("nan"), 0.0),
+            ResultRow("assortative", "srgw_nll", 60, 2, 4, 0.3, 1e-300, 0.0, 7,
+                      -0.0125, 3, 2.5e-17, 123456.789, 1.5),
+        ]
+        parsed = self.roundtrip(tmp_path, rows)
+        assert len(parsed) == len(rows)
+        for got, want in zip(parsed, rows):
+            self.assert_same(got, want)
+
+    def test_consistency_rows_roundtrip(self, tmp_path):
+        rows = [ConsistencyRow("disassortative", 30, 2, 0.1 + 0.2, 0.05, 3,
+                               0.0, float("nan"), 12.25)]
+        parsed = self.roundtrip(tmp_path, rows)
+        assert len(parsed) == 1
+        self.assert_same(parsed[0], rows[0])
+        header = Path(tmp_path / "out.csv").read_text().split("\n")[1]
+        assert header == ",".join(CONSISTENCY_COLUMNS)
+
+    def test_readme_lists_the_result_columns(self):
+        lines = [line for line in README.read_text().split("\n") if line.startswith("scenario,")]
+        assert lines == [",".join(RESULT_COLUMNS), ",".join(CONSISTENCY_COLUMNS)]
 
 
 class TestModelSelectionPlateau:
@@ -347,7 +437,8 @@ class TestCli:
             assert cli_dispatch(["experiment", "ari-sweep", "--config", str(path)]) == 1, bad
         Path(config.output_path).unlink()
         for field, bad in (("loss", "no_such_loss"), ("scenario", "no_such_scenario"),
-                           ("proportions", "no_such_proportions")):
+                           ("proportions", "no_such_proportions"),
+                           ("loss", "squared"), ("method", "srgw_l2")):
             path.write_text(json.dumps({**config.to_dict(), field: bad}))
             assert cli_dispatch(["experiment", "ari-sweep", "--config", str(path)]) == 1, field
             assert not Path(config.output_path).exists(), field

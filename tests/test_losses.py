@@ -1,5 +1,7 @@
 """Loss decompositions, the fast cost kernel, and closed-form connectivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,22 @@ def test_kernel_holds_a_and_f1_on_the_sparsity_pattern():
         assert np.all(kernel.fa.data != 0.0)
         if kind in ("bernoulli_nll", "exponential_nll"):
             assert kernel.fa.nnz == 0
+
+
+def test_kernel_does_not_copy_a():
+    """f1 is read off A's values: building the kernel allocates less than A's CSR."""
+    adj = oracles.random_binary_graph(np.random.default_rng(43), 400, p=0.3)
+    csr_bytes = sum(x.nbytes for x in (adj.csr.data, adj.csr.indices, adj.csr.indptr))
+    for kind in ("bernoulli_nll", "exponential_nll"):
+        loss = make_loss(kind)
+        tracemalloc.start()
+        try:
+            kernel = CostKernel(adj, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel.a is adj.csr and kernel.fa.nnz == 0
+        assert peak < csr_bytes, (kind, peak, csr_bytes)
 
 
 class TestLineSearchAlgebra:
