@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("p_in_grid must be nonempty")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds repeat: {self.seeds}")
         if self.sparsity_grid is not None:
             grid = [_check_sparsity(x) for x in self.sparsity_grid]
             if grid != sorted(grid):
@@ -306,8 +308,14 @@ def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int 
     """Compute the missing cells (optionally in parallel), merge, parse back.
 
     Each cell is ``(key, cell function, params)``; the function is called
-    as ``cell_fn(config, key, *params)`` and returns the cell's rows.
+    as ``cell_fn(config, key, *params)`` and returns the cell's rows.  Two
+    cells with one key (a repeated grid value, or two that agree in the
+    key's 8 significant digits) would share one shard, so they are an error.
     """
+    keys = [key for key, _, _ in cells]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"grid values give repeated cells: {', '.join(repeated)}")
     cells_dir = _claim_cells_dir(config)
     pending = [
         (cell_fn, config, key, params)

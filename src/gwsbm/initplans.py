@@ -2,9 +2,13 @@
 
 The embedding uses the top-k left singular vectors of the adjacency
 matrix.  Because the matrix is symmetric these are its eigenvectors
-ordered by absolute eigenvalue.  Small graphs take a dense ``eigh``; large
-ones a seeded randomized subspace iteration on the CSR array, so no n x n
-array or full decomposition is formed.
+ordered by absolute eigenvalue.  Small graphs (n < ``RANDOMIZED_CUTOFF``)
+take exact eigenvectors from ARPACK's Lanczos iteration on the CSR array,
+started from a seeded vector; a dense ``eigh`` is kept only as the
+fallback where ARPACK cannot give a deterministic answer (k + 1 >= n - 1,
+an ARPACK error, or tied |eigenvalues|).  Large graphs take a seeded
+randomized subspace iteration on the CSR array.  Outside the fallback no
+n x n array or full decomposition is formed.
 """
 
 from __future__ import annotations
@@ -15,9 +19,16 @@ from .losses import TransportPlan
 from .sbm import AdjacencyMatrix, Labels
 
 #: Graphs at least this large use the randomized eigensolver.  Smaller ones
-#: keep the exact ``eigh``: switching them moves k_hat in 4 of the 192 cells
-#: of ``perfbench/sweep_reference.json`` (all at p_in = 0.10).
+#: take exact eigenvectors (ARPACK Lanczos, dense ``eigh`` as its fallback):
+#: the randomized solver there moves k_hat in 4 of the 192 cells of
+#: ``perfbench/sweep_reference.json`` (all at p_in = 0.10).
 RANDOMIZED_CUTOFF = 1000
+
+#: Two of the k + 1 largest |eigenvalues| this close (relative) count as
+#: tied.  Their eigenvectors are then not fixed by A, and ARPACK may restart
+#: from its own process-wide random vector, so the start falls back to
+#: ``eigh``.
+_TIE_RTOL = 1e-9
 
 #: Oversampling columns and power steps for the randomized solver.
 OVERSAMPLE = 8
@@ -57,8 +68,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     out steals the point currently farthest from its assigned center and
     relocates there, so the recorded inertia never increases.
     """
-    n, _ = points.shape
+    n, dim = points.shape
     k = centers.shape[0]
+    rows = np.arange(n)
     history: list[float] = []
     labels = None
     sq = np.einsum("ij,ij->i", points, points)
@@ -66,20 +78,26 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         d2 = sq[:, None] - 2.0 * points @ centers.T + np.einsum("ij,ij->i", centers, centers)[None, :]
         np.maximum(d2, 0.0, out=d2)
         new_labels = np.argmin(d2, axis=1)
-        best = d2[np.arange(n), new_labels]
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(np.argmax(best))
-                new_labels[far] = c
-                centers[c] = points[far]
-                best[far] = 0.0
+        best = d2[rows, new_labels]
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            # in cluster order, so a cluster a steal empties is caught if it comes later
+            for c in range(k):
+                if counts[c] == 0:
+                    far = int(np.argmax(best))
+                    counts[new_labels[far]] -= 1
+                    counts[c] += 1
+                    new_labels[far] = c
+                    centers[c] = points[far]
+                    best[far] = 0.0
         history.append(float(best.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
+        # bincount adds each cluster's rows in index order, as mean(axis=0) does
+        for j in range(dim):
+            centers[:, j] = np.bincount(labels, weights=points[:, j], minlength=k) / counts
     return labels, centers, history
 
 
@@ -132,11 +150,25 @@ def kmeans(
 def _top_abs_eigvecs(a, k: int, seed: int) -> np.ndarray:
     """Top-k eigenvectors of a symmetric CSR matrix ordered by |eigenvalue|."""
     n = a.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5BEC]))
     if n < RANDOMIZED_CUTOFF:
+        if k + 1 < n - 1:
+            from scipy.sparse.linalg import ArpackError, eigsh
+
+            try:
+                w, v = eigsh(a, k=k + 1, which="LM", tol=0, v0=rng.standard_normal(n))
+            except ArpackError:
+                pass
+            else:
+                order = np.argsort(-np.abs(w))
+                top = np.abs(w[order])
+                if np.all(top[:-1] - top[1:] > _TIE_RTOL * top[:-1]):
+                    return v[:, order[:k]]
+        # ARPACK's size limit, a failure, or tied |eigenvalues|: the exact
+        # decomposition, whose vectors do not depend on a restart vector
         w, v = np.linalg.eigh(a.toarray())
         order = np.argsort(-np.abs(w))
         return v[:, order[:k]]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5BEC]))
     sketch = min(n, k + OVERSAMPLE)
     q, _ = np.linalg.qr(rng.standard_normal((n, sketch)))
     for _ in range(POWER_STEPS):

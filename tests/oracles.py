@@ -105,6 +105,40 @@ def enumerate_hard_plans(n, k):
         yield np.array(z, dtype=np.int64), t
 
 
+def lloyd_by_masks(points, centers, max_iters):
+    """Lloyd iterations with one boolean mask per cluster and step.
+
+    The reference for ``initplans._lloyd``: empty clusters are checked in
+    cluster order, each stealing the point farthest from its center, and
+    each center is the mean of its cluster's rows.  Returns (labels,
+    centers, inertia_history); ``centers`` is updated in place.
+    """
+    n = points.shape[0]
+    k = centers.shape[0]
+    history = []
+    labels = None
+    sq = np.einsum("ij,ij->i", points, points)
+    for _ in range(max_iters):
+        d2 = sq[:, None] - 2.0 * points @ centers.T + np.einsum("ij,ij->i", centers, centers)[None, :]
+        np.maximum(d2, 0.0, out=d2)
+        new_labels = np.argmin(d2, axis=1)
+        best = d2[np.arange(n), new_labels]
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(best))
+                new_labels[far] = c
+                centers[c] = points[far]
+                best[far] = 0.0
+        history.append(float(best.sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return labels, centers, history
+
+
 def random_binary_graph(rng, n, p=0.4):
     upper = np.triu(rng.random((n, n)) < p, 1)
     return AdjacencyMatrix((upper | upper.T).astype(np.float64))

@@ -4,8 +4,9 @@
 it.  A dense copy costs O(n^2) memory, so ``.entries`` (the dense copy of
 an adjacency) and ``.toarray()`` may appear in ``src/gwsbm`` only in the
 scopes listed here: the exhaustive baselines and the self-test, which run
-at tiny n, the exact ``eigh`` branch of the spectral start, and the
-property itself.  ``conn.entries`` is the clamped view of a
+at tiny n, the dense ``eigh`` fallback of the spectral start (below
+``RANDOMIZED_CUTOFF``, taken only where ARPACK's answer would not be
+reproducible), and the property itself.  ``conn.entries`` is the clamped view of a
 ``ConnectivityMatrix`` (k x k) and is not an adjacency read.
 """
 

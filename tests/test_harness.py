@@ -169,6 +169,26 @@ class TestSweeps:
         with pytest.raises(ValueError, match="fresh.csv.cells"):
             run_ari_sweep(fresh)  # shards whose config was never recorded
 
+    @pytest.mark.parametrize("run, overrides", [
+        (run_ari_sweep, dict(p_in_grid=[0.3, 0.300000001])),  # one 8-digit key
+        (run_ari_sweep, dict(p_in_grid=[0.3, 0.2, 0.3])),
+        (run_lambda_sweep, dict(sparsity=None, sparsity_grid=[0.0, 0.1, 0.1])),
+        (run_consistency, dict(k_search=2, sparsity=None, n_grid=[30, 60, 30])),
+        (run_ari_sweep, dict(seeds=[0, 1, 0])),
+    ])
+    def test_repeated_cells_are_refused_before_any_fit(self, tmp_path, run, overrides):
+        config = tiny_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match="repeat"):
+            run(config)
+        assert not (tmp_path / "out.csv.cells").exists()
+        assert not (tmp_path / "out.csv").exists()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        kind = {run_ari_sweep: "ari-sweep", run_lambda_sweep: "lambda-sweep",
+                run_consistency: "consistency"}[run]
+        assert cli_dispatch(["experiment", kind, "--config", str(path)]) == 1
+        assert not (tmp_path / "out.csv.cells").exists()
+
     def test_persisted_plans_agree_with_k_hat(self, tmp_path):
         config = tiny_config(tmp_path, persist_plans=True)
         rows = run_ari_sweep(config)

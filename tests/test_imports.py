@@ -2,9 +2,11 @@
 
 ``scipy.special`` and ``scipy.optimize`` take about half a second to
 import together, and a plain Bernoulli fit uses neither, so the modules
-that need them import them inside the functions that call them.  The
-check runs in a fresh interpreter because the test process has long since
-loaded both.
+that need them import them inside the functions that call them.
+``scipy.sparse.linalg`` (ARPACK) is loaded only by a spectral start below
+``RANDOMIZED_CUTOFF``; larger graphs never need it.  The check runs in a
+fresh interpreter because the test process has long since loaded all
+three.
 """
 
 import json
@@ -12,9 +14,12 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 import oracles
 
 LAZY = ("scipy.special", "scipy.optimize")
+ARPACK = "scipy.sparse.linalg"
 
 CHILD = f"""
 import json, sys
@@ -22,23 +27,38 @@ import numpy as np
 import gwsbm.cli, gwsbm.solver
 
 lazy = {LAZY!r}
-at_import = [m for m in lazy if m in sys.modules]
+at_import = [m for m in lazy + ({ARPACK!r},) if m in sys.modules]
 
-from gwsbm import Labels, aligned_plan_error, labels_to_plan, make_loss
+from gwsbm import Labels, aligned_plan_error, labels_to_plan, make_loss, spectral_init
+from gwsbm.initplans import RANDOMIZED_CUTOFF
+from gwsbm.sbm import balanced_proportions, build_scenario, sample_graph
+
+# before the calls below: scipy.optimize imports scipy.sparse.linalg
+conn = build_scenario("assortative", 3, 0.02, 0.005)
+arpack = []
+for n in (RANDOMIZED_CUTOFF, RANDOMIZED_CUTOFF - 1):
+    adj, _ = sample_graph(conn, balanced_proportions(3), n, 0)
+    spectral_init(adj, 4, 0)
+    arpack.append({ARPACK!r} in sys.modules)
 
 f1 = make_loss("poisson_nll").f1([0, 1, 3])
 z = np.array([0, 1, 2, 1, 0])
 plan_error = aligned_plan_error(labels_to_plan(Labels(z, 3)), z)
+after_calls = [m for m in lazy if m in sys.modules]
+
 print(json.dumps({{
     "at_import": at_import,
     "f1": f1.tolist(),
     "plan_error": plan_error,
-    "after_calls": [m for m in lazy if m in sys.modules],
+    "after_calls": after_calls,
+    "arpack_after_large_then_small_start": arpack,
 }}))
 """
 
 
-def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+@pytest.fixture(scope="module")
+def child():
+    """What the child interpreter saw, run once for the tests below."""
     run = subprocess.run(
         [sys.executable, "-c", CHILD],
         capture_output=True,
@@ -47,10 +67,18 @@ def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
         env=oracles.cli_process_env(),
     )
     assert run.returncode == 0, run.stderr
-    out = json.loads(run.stdout)
-    assert out["at_import"] == []
+    return json.loads(run.stdout)
+
+
+def test_cli_import_leaves_scipy_special_and_optimize_unloaded(child):
+    assert child["at_import"] == []
     # The functions that need them still work, loading them on first use.
-    assert out["f1"][:2] == [0.0, 0.0]
-    assert math.isclose(out["f1"][2], math.log(6.0), rel_tol=1e-15)
-    assert out["plan_error"] == 0.0
-    assert out["after_calls"] == list(LAZY)
+    assert child["f1"][:2] == [0.0, 0.0]
+    assert math.isclose(child["f1"][2], math.log(6.0), rel_tol=1e-15)
+    assert child["plan_error"] == 0.0
+    assert child["after_calls"] == list(LAZY)
+
+
+def test_arpack_loads_only_for_a_start_below_the_randomized_cutoff(child):
+    assert ARPACK not in child["at_import"]
+    assert child["arpack_after_large_then_small_start"] == [False, True]
