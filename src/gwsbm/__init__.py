@@ -10,6 +10,7 @@ from .baselines import (
     VemState,
     brute_force_srgw,
     exact_log_likelihood,
+    restarted_fw_minimum,
     sup_log_likelihood,
     vem_fit,
 )
@@ -43,6 +44,7 @@ from .losses import (
     CostKernel,
     TransportPlan,
     closed_form_connectivity,
+    column_mass_penalty,
     cost_application,
     make_loss,
     srgw_objective,
@@ -71,7 +73,6 @@ from .sbm import (
 from .solver import (
     FitResult,
     bcd_fit,
-    column_mass_penalty,
     elbo_value,
     entropic_objective,
     fw_solve,
@@ -124,6 +125,7 @@ __all__ = [
     "read_edge_list",
     "read_labels",
     "read_matrix_csv",
+    "restarted_fw_minimum",
     "run_ari_sweep",
     "run_consistency",
     "run_lambda_sweep",

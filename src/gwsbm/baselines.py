@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import CompositeLoss, CostKernel, make_loss
+from .initplans import labels_to_plan
+from .losses import CompositeLoss, CostKernel, make_loss, srgw_objective
 from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
-from .solver import elbo_value
+from .solver import _stalled, elbo_value, fw_solve
 
 #: Hard cap on k**n for the exhaustive routines.
 ENUMERATION_CAP = 10_000_000
@@ -21,6 +22,10 @@ _CHUNK = 1 << 14
 
 #: Proportions are clamped here when a cluster empties during VEM.
 ALPHA_FLOOR = 1e-8
+
+#: Outer-iteration cap and relative ELBO stopping tolerance of :func:`vem_fit`.
+VEM_MAX_ITERS = 100
+VEM_REL_TOL = 1e-7
 
 
 @dataclass
@@ -49,8 +54,6 @@ def vem_fit(
     adj: AdjacencyMatrix,
     k: int,
     resp0: np.ndarray,
-    max_iters: int = 100,
-    tol: float = 1e-7,
 ) -> VemState:
     """Variational EM for the Bernoulli block model.
 
@@ -61,7 +64,7 @@ def vem_fit(
     50 sweeps.  The M-step sets proportions to cluster means (floored at
     1e-8 and renormalized if a cluster empties) and connectivity cells to
     pair-weighted edge frequencies.  Outer iterations stop when the ELBO's
-    relative change falls below ``tol``.
+    relative change falls below ``VEM_REL_TOL`` or after ``VEM_MAX_ITERS``.
     """
     # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
     from scipy.special import logsumexp
@@ -78,7 +81,7 @@ def vem_fit(
     props, conn = _m_step(kernel, resp)
     elbo = elbo_value(resp, adj, conn, props)
     history = [elbo]
-    for _ in range(max_iters):
+    for _ in range(VEM_MAX_ITERS):
         theta = loss.prepare_theta(conn)
         log_alpha = np.log(props.weights)
         for _ in range(50):
@@ -93,7 +96,7 @@ def vem_fit(
         props, conn = _m_step(kernel, resp)
         new_elbo = elbo_value(resp, adj, conn, props)
         history.append(new_elbo)
-        done = abs(new_elbo - elbo) <= tol * max(abs(elbo), 1e-15)
+        done = _stalled(elbo, new_elbo, VEM_REL_TOL)
         elbo = new_elbo
         if done:
             break
@@ -283,3 +286,19 @@ def brute_force_srgw(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> tuple[f
             best_val = float(vals[arg])
             best_z = z[arg].copy()
     return best_val, Labels(best_z, k)
+
+
+def restarted_fw_minimum(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> float:
+    """Least objective :func:`gwsbm.solver.fw_solve` reaches from any hard plan (k**n starts).
+
+    Guarded like the enumeration; :func:`brute_force_srgw` is the optimum it should reach.
+    """
+    n = adj.n
+    k = loss.prepare_theta(conn).shape[0]
+    count = _guard_enumeration(n, k)
+    best = np.inf
+    for startv in range(0, count, _CHUNK):
+        for z in _assignment_digits(startv, min(startv + _CHUNK, count), n, k):
+            plan = fw_solve(adj, loss, conn, labels_to_plan(Labels(z, k)))
+            best = min(best, srgw_objective(adj, plan, conn, loss))
+    return best

@@ -15,10 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import graphio
-from .baselines import _assignment_digits, brute_force_srgw
+from .baselines import brute_force_srgw, restarted_fw_minimum
 from .harness import (
     ExperimentConfig,
     auto_sparsity,
@@ -26,18 +24,17 @@ from .harness import (
     run_consistency,
     run_lambda_sweep,
 )
-from .initplans import labels_to_plan, spectral_init
-from .losses import LOSS_KINDS, make_loss, srgw_objective
+from .initplans import spectral_init
+from .losses import LOSS_KINDS, make_loss
 from .sbm import (
     PROPORTION_KINDS,
     SCENARIO_KINDS,
-    Labels,
     build_scenario,
     make_proportions,
     sample_graph,
 )
 from .selftest import run_selftest
-from .solver import bcd_fit, fw_solve
+from .solver import bcd_fit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,12 +139,7 @@ def _cmd_oracle(args) -> int:
     adj, _ = sample_graph(conn, props, args.n, args.seed)
     loss = make_loss("bernoulli_nll")
     best, _ = brute_force_srgw(adj, loss, conn)
-    solver_best = np.inf
-    for code in range(args.k**args.n):
-        z = _assignment_digits(code, code + 1, args.n, args.k)[0]
-        start = labels_to_plan(Labels(z, args.k))
-        plan = fw_solve(adj, loss, conn, start)
-        solver_best = min(solver_best, srgw_objective(adj, plan, conn, loss))
+    solver_best = restarted_fw_minimum(adj, loss, conn)
     gap = solver_best - best
     print(f"exhaustive optimum: {best:.12f}")
     print(f"best restarted solver value: {solver_best:.12f}")

@@ -37,6 +37,10 @@ POWER_STEPS = 30
 #: Uniform mass blended into hard starting plans to keep them interior.
 BLEND_EPS = 1e-3
 
+#: k-means restarts (best inertia wins) and the Lloyd step cap of each.
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITERS = 100
+
 
 def labels_to_plan(labels: Labels, k: int | None = None) -> TransportPlan:
     """Hard assignment plan: row i puts its full 1/n mass on labels[i]."""
@@ -55,10 +59,10 @@ def uniform_plan(n: int, k: int) -> TransportPlan:
     return TransportPlan(np.full((n, k), 1.0 / (n * k)))
 
 
-def blend_plan(plan: TransportPlan, eps: float = BLEND_EPS) -> TransportPlan:
-    """Mix a plan with the uniform plan; keeps rows feasible exactly."""
+def blend_plan(plan: TransportPlan) -> TransportPlan:
+    """Mix a plan with ``BLEND_EPS`` of the uniform plan; keeps rows feasible exactly."""
     n, k = plan.n, plan.k
-    return TransportPlan((1.0 - eps) * plan.matrix + eps / (n * k))
+    return TransportPlan((1.0 - BLEND_EPS) * plan.matrix + BLEND_EPS / (n * k))
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
@@ -66,7 +70,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
 
     Returns (labels, centers, inertia_history).  A cluster that empties
     out steals the point currently farthest from its assigned center and
-    relocates there, so the recorded inertia never increases.
+    relocates there, so the recorded inertia never increases; one emptied by
+    a later steal then takes the farthest point of a cluster of two or more.
     """
     n, dim = points.shape
     k = centers.shape[0]
@@ -81,15 +86,18 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         best = d2[rows, new_labels]
         counts = np.bincount(new_labels, minlength=k)
         if not counts.all():
-            # in cluster order, so a cluster a steal empties is caught if it comes later
-            for c in range(k):
-                if counts[c] == 0:
-                    far = int(np.argmax(best))
-                    counts[new_labels[far]] -= 1
-                    counts[c] += 1
-                    new_labels[far] = c
-                    centers[c] = points[far]
-                    best[far] = 0.0
+            # in cluster order, so a cluster a steal empties is caught if it comes
+            # later; one it comes before is refilled from a cluster of two or more
+            for refill in (False, True):
+                for c in range(k):
+                    if counts[c] == 0:
+                        gap = np.where(counts[new_labels] > 1, best, -np.inf) if refill else best
+                        far = int(np.argmax(gap))
+                        counts[new_labels[far]] -= 1
+                        counts[c] += 1
+                        new_labels[far] = c
+                        centers[c] = points[far]
+                        best[far] = 0.0
         history.append(float(best.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             labels = new_labels
@@ -120,14 +128,8 @@ def _plusplus_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centers
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    n_restarts: int = 10,
-    max_iters: int = 100,
-) -> Labels:
-    """Best-of-``n_restarts`` k-means clustering of the rows of ``points``."""
+def kmeans(points: np.ndarray, k: int, seed: int) -> Labels:
+    """Best-of-``KMEANS_RESTARTS`` k-means clustering of the rows of ``points``."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty 2-d array")
@@ -137,10 +139,10 @@ def kmeans(
     root = np.random.SeedSequence(seed)
     best_labels = None
     best_inertia = np.inf
-    for child in root.spawn(n_restarts):
+    for child in root.spawn(KMEANS_RESTARTS):
         rng = np.random.default_rng(child)
         centers = _plusplus_centers(points, k, rng)
-        labels, _, history = _lloyd(points, centers, max_iters)
+        labels, _, history = _lloyd(points, centers, KMEANS_MAX_ITERS)
         if history[-1] < best_inertia:
             best_inertia = history[-1]
             best_labels = labels

@@ -1,4 +1,4 @@
-"""Composite inner losses and the factored quadratic assignment cost.
+"""Composite inner losses, the factored quadratic assignment cost and the objective.
 
 Every supported loss decomposes as
 
@@ -17,12 +17,11 @@ nonzero, and one exact correction removes it.  ``f1(0) = 0`` also means
 ``f1(A)`` as sparse CSR arrays and one cost application takes
 O(|E| k + n k^2) time for a graph with |E| stored entries.
 
-The connectivity minimizing the objective at a fixed plan has a closed
-form, implemented once: :func:`pair_summaries` reduces the plan and A to
-per-block-pair sums and pair masses, and :func:`theta_from_summaries`
-maps their ratio back into the loss domain.
-:func:`closed_form_connectivity`, :meth:`CostKernel.connectivity` and the
-solver's merge score all go through these two functions.
+The objective ``<cost(T), T>`` and the connectivity minimizing it at a
+fixed plan read the plan only through its pair summaries
+(:meth:`CostKernel.pair_summaries`), and each is written once on them:
+:func:`summary_objective` (every objective value outside Frank-Wolfe,
+penalized or not) and :func:`theta_from_summaries`.
 """
 
 from __future__ import annotations
@@ -223,15 +222,10 @@ class CostKernel:
         self.a = adj.csr
         self.n = adj.n
         f1 = np.asarray(loss.f1(self.a.data), dtype=np.float64)
-        if np.all(f1):  # f1 vanishes nowhere on A's pattern: share it
-            self.fa = sparse.csr_array((f1, self.a.indices, self.a.indptr), shape=self.a.shape)
-        else:
-            kept = np.flatnonzero(f1)
-            # fa's row pointers: the kept entries that precede each row of A
-            indptr = np.searchsorted(kept, self.a.indptr)
-            self.fa = sparse.csr_array(
-                (f1[kept], self.a.indices[kept], indptr), shape=self.a.shape
-            )
+        kept = np.flatnonzero(f1)
+        # fa's row pointers: the kept entries that precede each row of A
+        indptr = np.searchsorted(kept, self.a.indptr)
+        self.fa = sparse.csr_array((f1[kept], self.a.indices[kept], indptr), shape=self.a.shape)
 
     def cost(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Apply the cost tensor to a plan, excluding i == j terms exactly.
@@ -248,27 +242,71 @@ class CostKernel:
         m -= t @ f2t.T
         return m
 
+    def pair_summaries(self, t: np.ndarray) -> tuple:
+        """``(s, d, q, f1)``: all the objective and the closed-form connectivity read of ``t``.
+
+        ``s[k, l]`` is the plan-weighted sum of A over node pairs i != j (A's
+        zero diagonal drops i == j), ``d[k, l]`` the matching pair mass, ``q``
+        the cluster masses and ``f1`` is ``rows^T f1(A) rows`` for the plan's
+        row sums.  Pouring cluster j into i adds row and column j of ``s`` and
+        ``d`` (and ``q[j]``) into i and keeps ``f1``.  Costs one ``A @ t``.
+        """
+        rows = t.sum(axis=1)
+        q = t.sum(axis=0)
+        s = t.T @ (self.a @ t)
+        d = np.outer(q, q) - t.T @ t
+        return 0.5 * (s + s.T), 0.5 * (d + d.T), q, float(rows @ (self.fa @ rows))
+
     def objective(self, t: np.ndarray, theta: np.ndarray) -> float:
-        """Quadratic assignment objective <cost(t), t>."""
-        return float(np.vdot(self.cost(t, theta), t))
+        """Quadratic assignment objective ``<cost(t), t>``, priced from the summaries of ``t``."""
+        return summary_objective(self.pair_summaries(t), theta, self.loss)
 
     def connectivity(self, t: np.ndarray) -> ConnectivityMatrix:
         """Closed-form connectivity at plan ``t``."""
-        s, d, _ = pair_summaries(self.a, t)
-        theta, inactive = theta_from_summaries(s, d, self.loss)
-        return ConnectivityMatrix(theta, inactive=inactive)
+        return ConnectivityMatrix(*theta_from_summaries(self.pair_summaries(t), self.loss))
+
+
+def column_mass_penalty(plan) -> float:
+    """Square-root cluster-mass penalty ``sum_k sqrt(q_k)`` of a plan or of its masses ``q``.
+
+    Concave in the masses: between 1 (single surviving cluster) and
+    ``sqrt(k)`` (all clusters equally loaded), so smaller means sparser.
+    """
+    q = _plan_matrix(plan)
+    if q.ndim == 2:
+        q = q.sum(axis=0)
+    return float(np.sum(np.sqrt(np.maximum(q, 0.0))))
+
+
+def summary_objective(summ: tuple, theta, loss: CompositeLoss, sparsity: float = 0.0) -> float:
+    """Objective of the plan whose pair summaries are ``summ`` at connectivity ``theta``.
+
+    The loss decomposition turns
+    ``sum_{i != j, k, l} loss(A[i, j], theta[k, l]) T[i, k] T[j, l]`` into
+    ``f1 + sum(f2(theta) d - h2(theta) s)``, exact for any plan; a nonzero
+    ``sparsity`` adds ``sparsity * column_mass_penalty(q)``.
+    """
+    s, d, q, f1 = summ
+    f2t = np.asarray(loss.f2(theta), dtype=np.float64)
+    h2t = np.asarray(loss.h2(theta), dtype=np.float64)
+    return f1 + float(np.sum(f2t * d - h2t * s)) + sparsity * column_mass_penalty(q)
+
+
+def _checked_kernel(adj, loss: CompositeLoss, t: np.ndarray, theta=None) -> CostKernel:
+    """Kernel for ``adj`` after checking the plan (and connectivity) shapes against it."""
+    kernel = CostKernel(adj, loss)
+    if t.shape[0] != kernel.n:
+        raise ValueError("plan and adjacency disagree on n")
+    if theta is not None and theta.shape[0] != t.shape[1]:
+        raise ValueError("plan and connectivity disagree on k")
+    return kernel
 
 
 def cost_application(adj, plan, conn, loss: CompositeLoss) -> np.ndarray:
     """Matrix M with M[i, k] = sum_{j != i, l} loss(A[i, j], theta[k, l]) T[j, l]."""
     t = _plan_matrix(plan)
     theta = loss.prepare_theta(conn)
-    kernel = CostKernel(adj, loss)
-    if t.shape[0] != kernel.n:
-        raise ValueError("plan and adjacency disagree on n")
-    if theta.shape[0] != t.shape[1]:
-        raise ValueError("plan and connectivity disagree on k")
-    m = kernel.cost(t, theta)
+    m = _checked_kernel(adj, loss, t, theta).cost(t, theta)
     if not np.isfinite(m).all():
         raise FloatingPointError("non-finite cost: connectivity outside loss domain?")
     return m
@@ -281,30 +319,14 @@ def srgw_objective(adj, plan, conn, loss: CompositeLoss) -> float:
     diagonal (i == j) terms are excluded exactly.
     """
     t = _plan_matrix(plan)
-    return float(np.vdot(cost_application(adj, t, conn, loss), t))
+    theta = loss.prepare_theta(conn)
+    value = _checked_kernel(adj, loss, t, theta).objective(t, theta)
+    if not np.isfinite(value):
+        raise FloatingPointError("non-finite objective: connectivity outside loss domain?")
+    return value
 
 
-def pair_summaries(
-    a: sparse.csr_array, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Self-pair-free plan-weighted summaries behind the closed-form connectivity.
-
-    Returns ``(s, d, q)`` where ``s[k, l]`` is the plan-weighted sum of the
-    adjacency entries ``a`` (the kernel's CSR array) over node pairs i != j
-    (the zero diagonal of ``a`` drops the i == j terms), ``d[k, l]`` the
-    matching pair mass, and ``q`` the cluster masses.  Both matrices are
-    additive under cluster merges: adding row and column j into i yields
-    the summaries of the plan with cluster j poured into cluster i.
-    """
-    q = t.sum(axis=0)
-    s = t.T @ (a @ t)
-    d = np.outer(q, q) - t.T @ t
-    return 0.5 * (s + s.T), 0.5 * (d + d.T), q
-
-
-def theta_from_summaries(
-    s: np.ndarray, d: np.ndarray, loss: CompositeLoss
-) -> tuple[np.ndarray, np.ndarray]:
+def theta_from_summaries(summ: tuple, loss: CompositeLoss) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form connectivity values and inactive mask from pair summaries.
 
     Each cell is ``theta_inverse_map`` of the weighted mean ``s / d``,
@@ -312,6 +334,7 @@ def theta_from_summaries(
     ``DENOMINATOR_FLOOR`` carry no information: they are set to 0.5 and
     flagged in the returned mask.
     """
+    s, d = summ[:2]
     inactive = d <= DENOMINATOR_FLOOR
     ratio = np.where(inactive, 1.0, s / np.where(inactive, 1.0, d))
     theta = np.clip(np.asarray(loss.theta_inverse_map(ratio), dtype=np.float64), *loss.theta_clamp)
@@ -326,7 +349,4 @@ def closed_form_connectivity(adj, plan, loss: CompositeLoss) -> ConnectivityMatr
     the cell rule.
     """
     t = _plan_matrix(plan)
-    kernel = CostKernel(adj, loss)
-    if t.shape[0] != kernel.n:
-        raise ValueError("plan and adjacency disagree on n")
-    return kernel.connectivity(t)
+    return _checked_kernel(adj, loss, t).connectivity(t)

@@ -71,13 +71,9 @@ def hard_labels(plan) -> Labels:
     return Labels(np.argmax(t, axis=1), t.shape[1])
 
 
-def selected_k(plan, mass_tol: float = MASS_TOL) -> int:
-    """Number of clusters whose total mass exceeds ``mass_tol``."""
-    t = _plan_matrix(plan)
-    k = t.shape[1]
-    if not 0.0 < mass_tol < 1.0 / k:
-        raise ValueError("mass_tol must lie in (0, 1/k)")
-    return int(np.count_nonzero(t.sum(axis=0) > mass_tol))
+def selected_k(plan) -> int:
+    """Number of clusters whose total mass exceeds ``MASS_TOL``."""
+    return int(np.count_nonzero(_plan_matrix(plan).sum(axis=0) > MASS_TOL))
 
 
 def label_accuracy(labels_hat, labels_star) -> float:

@@ -25,9 +25,14 @@ Three nested loops:
   any single row), so without them the solver parks in plans that split
   one true cluster across several columns.
 
+Outside Frank-Wolfe, every objective value is
+:func:`gwsbm.losses.summary_objective` of the plan's pair summaries, which
+:func:`bcd_fit` computes once per plan and shares between the
+connectivity refit, the penalized objective and the merge step.
+
 The sparsity strength is the only setting; the iteration caps and
 relative stopping tolerances of the three loops are the module constants
-below.
+below, all applied by one relative-stall test.
 
 ELBO helpers for the Bernoulli block model live here too, because the
 penalized objective and the variational bound are two views of the same
@@ -45,9 +50,11 @@ from .losses import (
     CompositeLoss,
     CostKernel,
     TransportPlan,
+    _checked_kernel,
     _plan_matrix,
     make_loss,
-    pair_summaries,
+    srgw_objective,
+    summary_objective,
     theta_from_summaries,
 )
 from .metrics import hard_labels, selected_k
@@ -97,16 +104,6 @@ class FitResult:
     degenerate: bool = False
 
 
-def column_mass_penalty(plan) -> float:
-    """Square-root cluster-mass penalty ``sum_k sqrt(q_k)``.
-
-    Concave in the masses: between 1 (single surviving cluster) and
-    ``sqrt(k)`` (all clusters equally loaded), so smaller means sparser.
-    """
-    q = _plan_matrix(plan).sum(axis=0)
-    return float(np.sum(np.sqrt(np.maximum(q, 0.0))))
-
-
 def penalty_linearization(plan, sparsity: float) -> np.ndarray:
     """Row-constant tangent cost of the penalty at the current plan.
 
@@ -120,33 +117,6 @@ def penalty_linearization(plan, sparsity: float) -> np.ndarray:
     return np.broadcast_to(row, t.shape).copy()
 
 
-def _penalized(kernel: CostKernel, t: np.ndarray, theta: np.ndarray, sparsity: float) -> float:
-    """Penalized objective of plan ``t`` at connectivity values ``theta``."""
-    return kernel.objective(t, theta) + sparsity * column_mass_penalty(t)
-
-
-def _summary_score(
-    s: np.ndarray,
-    d: np.ndarray,
-    q: np.ndarray,
-    loss: CompositeLoss,
-    sparsity: float,
-    f1_term: float,
-) -> float:
-    """Penalized objective at the closed-form connectivity of the summaries.
-
-    Takes the connectivity from :func:`gwsbm.losses.theta_from_summaries`,
-    then evaluates ``f1_term + sum(f2(theta) d - h2(theta) s)`` which
-    equals the quadratic objective because rows of the plan all carry
-    mass 1/n.
-    """
-    theta, _ = theta_from_summaries(s, d, loss)
-    f2t = np.asarray(loss.f2(theta), dtype=np.float64)
-    h2t = np.asarray(loss.h2(theta), dtype=np.float64)
-    quad = f1_term + float(np.sum(f2t * d - h2t * s))
-    return quad + sparsity * float(np.sum(np.sqrt(np.maximum(q, 0.0))))
-
-
 def _merge_rowcol(mat: np.ndarray, i: int, j: int) -> np.ndarray:
     out = mat.copy()
     out[i, :] += out[j, :]
@@ -157,60 +127,63 @@ def _merge_rowcol(mat: np.ndarray, i: int, j: int) -> np.ndarray:
 def _merge_step(
     kernel: CostKernel,
     t: np.ndarray,
+    summ: tuple,
     conn: ConnectivityMatrix,
     pen: float,
     *,
     sparsity: float = 0.0,
     on_iterate=None,
-) -> tuple[np.ndarray, ConnectivityMatrix, float]:
+) -> tuple[np.ndarray, tuple, ConnectivityMatrix, float]:
     """Pour one cluster into another while that strictly lowers the score.
 
-    ``conn`` and ``pen`` are the closed-form connectivity of ``t`` and the
-    penalized objective there; the plan, connectivity and penalized
-    objective after the last accepted merge are returned.  The score is
-    the penalized objective with the connectivity refit to the candidate
-    plan, so an accepted merge is a guaranteed descent step of the full
-    alternating scheme.  Candidates are ranked with the cheap summary
-    formula above; the best one is re-scored through the exact objective
-    before being accepted, which keeps the loss history provably
-    non-increasing regardless of floating-point dust.
+    ``summ``, ``conn`` and ``pen`` are the pair summaries of ``t``, its
+    closed-form connectivity and the penalized objective there; the same
+    four are returned after the last accepted merge.  A candidate's score
+    is the penalized objective at the connectivity refit to the merged
+    plan, so an accepted merge is a descent step of the alternating
+    scheme.  Candidates are ranked on merged summaries; the best one is
+    formed as a plan and refit and re-scored from its own fresh summaries
+    before being accepted (keeping the loss history non-increasing despite
+    floating-point dust), and those summaries serve the next pass.
     """
-    f1_term = float(kernel.fa.sum()) / float(kernel.n) ** 2
+    loss = kernel.loss
     while True:
-        s, d, q = pair_summaries(kernel.a, t)
+        s, d, q, f1 = summ
         live = np.flatnonzero(q > 1e-12)
-        if live.size < 2:
-            return t, conn, pen
-        current = _summary_score(s, d, q, kernel.loss, sparsity, f1_term)
         best_gain, best_pair = 0.0, None
         for a in range(live.size):
             i = int(live[a])
             for b in range(a + 1, live.size):
                 j = int(live[b])
-                cand = _summary_score(
+                cand = (
                     _merge_rowcol(s, i, j),
                     _merge_rowcol(d, i, j),
                     np.delete(q + (np.arange(q.size) == i) * q[j], j),
-                    kernel.loss,
-                    sparsity,
-                    f1_term,
+                    f1,
                 )
-                gain = current - cand
+                theta, _ = theta_from_summaries(cand, loss)
+                gain = pen - summary_objective(cand, theta, loss, sparsity)
                 if gain > best_gain:
                     best_gain, best_pair = gain, (i, j)
         if best_pair is None:
-            return t, conn, pen
+            return t, summ, conn, pen
         i, j = best_pair
         merged = t.copy()
         merged[:, i] += merged[:, j]
         merged[:, j] = 0.0
-        merged_conn = kernel.connectivity(merged)
-        merged_pen = _penalized(kernel, merged, kernel.loss.prepare_theta(merged_conn), sparsity)
+        merged_summ = kernel.pair_summaries(merged)
+        merged_conn = ConnectivityMatrix(*theta_from_summaries(merged_summ, loss))
+        merged_pen = summary_objective(merged_summ, merged_conn.raw, loss, sparsity)
         if not merged_pen < pen:
-            return t, conn, pen
-        t, conn, pen = merged, merged_conn, merged_pen
+            return t, summ, conn, pen
+        t, summ, conn, pen = merged, merged_summ, merged_conn, merged_pen
         if on_iterate is not None:
             on_iterate(t, pen)
+
+
+def _stalled(prev: float, new: float, rtol: float) -> bool:
+    """True when ``new`` differs from ``prev`` by at most ``rtol`` relative to ``prev``."""
+    return abs(prev - new) <= rtol * max(abs(prev), 1e-15)
 
 
 def _check_finite(value: float, where: str) -> float:
@@ -226,10 +199,14 @@ def _fw_core(
     t0: np.ndarray,
     linear: np.ndarray | None,
     on_iterate=None,
-) -> tuple[np.ndarray, float]:
-    """Frank-Wolfe on <cost(t), t> + <linear, t> over row-constrained plans."""
+) -> np.ndarray:
+    """Frank-Wolfe on <cost(t), t> + <linear, t> over row-constrained plans.
+
+    Stops at the first step that leaves the plan unchanged, so it returns
+    ``t0`` itself when no step moves it.
+    """
     n, k = t0.shape
-    t = np.array(t0, dtype=np.float64)
+    t = t0
     m = kernel.cost(t, theta)
     obj = float(np.vdot(m, t))
     if linear is not None:
@@ -255,17 +232,18 @@ def _fw_core(
             gamma = min(1.0, max(0.0, -b / (2.0 * a)))
         else:
             gamma = 1.0 if a + b <= 0.0 else 0.0
-        if gamma == 0.0:
+        moved = (1.0 - gamma) * t + gamma * x
+        if np.array_equal(moved, t):  # a zero step, or one too small to change t
             break
-        t = (1.0 - gamma) * t + gamma * x
+        t = moved
         # the cost application is linear in the plan, so blend it too
         m = (1.0 - gamma) * m + gamma * mx
         obj = _check_finite((a * gamma + b) * gamma + f0, "fw_solve")
         if on_iterate is not None:
             on_iterate(t, obj)
-        if abs(f0 - obj) <= FW_REL_TOL * max(abs(f0), 1e-15):
+        if _stalled(f0, obj, FW_REL_TOL):
             break
-    return t, obj
+    return t
 
 
 def fw_solve(
@@ -288,23 +266,27 @@ def _mm_core(
     kernel: CostKernel,
     theta: np.ndarray,
     t0: np.ndarray,
+    summ0: tuple,
     sparsity: float,
     on_iterate=None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple]:
+    """Majorize-minimize from ``t0`` (summaries ``summ0``); returns the plan and its summaries."""
     if sparsity == 0.0:
-        t, _ = _fw_core(kernel, theta, t0, None, on_iterate)
-        return t
-    t = np.array(t0, dtype=np.float64)
-    pen = _check_finite(_penalized(kernel, t, theta, sparsity), "mm_solve")
+        t = _fw_core(kernel, theta, t0, None, on_iterate)
+        return t, summ0 if t is t0 else kernel.pair_summaries(t)
+    t, summ = t0, summ0
+    pen = _check_finite(summary_objective(summ, theta, kernel.loss, sparsity), "mm_solve")
     for _ in range(MM_MAX_ITERS):
-        linear = penalty_linearization(t, sparsity)
-        t, _ = _fw_core(kernel, theta, t, linear, on_iterate)
-        new_pen = _check_finite(_penalized(kernel, t, theta, sparsity), "mm_solve")
-        done = abs(pen - new_pen) <= MM_REL_TOL * max(abs(pen), 1e-15)
+        moved = _fw_core(kernel, theta, t, penalty_linearization(t, sparsity), on_iterate)
+        if moved is t:
+            break
+        t, summ = moved, kernel.pair_summaries(moved)
+        new_pen = _check_finite(summary_objective(summ, theta, kernel.loss, sparsity), "mm_solve")
+        done = _stalled(pen, new_pen, MM_REL_TOL)
         pen = new_pen
         if done:
             break
-    return t
+    return t, summ
 
 
 def mm_solve(
@@ -324,12 +306,11 @@ def mm_solve(
     single plain Frank-Wolfe solve.
     """
     sparsity = _check_sparsity(sparsity)
-    kernel = CostKernel(adj, loss)
     theta = loss.prepare_theta(conn)
     t0 = _plan_matrix(plan0)
-    if t0.shape[0] != kernel.n or theta.shape[0] != t0.shape[1]:
-        raise ValueError("plan, adjacency and connectivity shapes disagree")
-    return TransportPlan(_mm_core(kernel, theta, t0, sparsity, on_iterate))
+    kernel = _checked_kernel(adj, loss, t0, theta)
+    t, _ = _mm_core(kernel, theta, t0, kernel.pair_summaries(t0), sparsity, on_iterate)
+    return TransportPlan(t)
 
 
 def bcd_fit(
@@ -352,26 +333,22 @@ def bcd_fit(
     """
     sparsity = _check_sparsity(sparsity)
     start = time.perf_counter()
-    kernel = CostKernel(adj, loss)
     t = _plan_matrix(plan0).copy()
-    if t.shape[0] != kernel.n:
-        raise ValueError("plan and adjacency disagree on n")
+    kernel = _checked_kernel(adj, loss, t)
     history: list[float] = []
-    conn = kernel.connectivity(t)
-    prev = None
+    summ = kernel.pair_summaries(t)
+    conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
     for _ in range(BCD_MAX_ITERS):
-        t = _mm_core(kernel, loss.prepare_theta(conn), t, sparsity, on_iterate)
-        conn = kernel.connectivity(t)
-        pen = _penalized(kernel, t, loss.prepare_theta(conn), sparsity)
+        t, summ = _mm_core(kernel, loss.prepare_theta(conn), t, summ, sparsity, on_iterate)
+        conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
+        pen = summary_objective(summ, conn.raw, loss, sparsity)
         if sparsity > 0.0:
-            t, conn, pen = _merge_step(
-                kernel, t, conn, pen, sparsity=sparsity, on_iterate=on_iterate
+            t, summ, conn, pen = _merge_step(
+                kernel, t, summ, conn, pen, sparsity=sparsity, on_iterate=on_iterate
             )
-        _check_finite(pen, "bcd_fit")
-        history.append(pen)
-        if prev is not None and abs(prev - pen) <= BCD_REL_TOL * max(abs(prev), 1e-15):
+        history.append(_check_finite(pen, "bcd_fit"))
+        if len(history) > 1 and _stalled(history[-2], pen, BCD_REL_TOL):
             break
-        prev = pen
     plan = TransportPlan(t)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return FitResult(
@@ -403,16 +380,11 @@ def elbo_value(resp, adj, conn: ConnectivityMatrix, props: Proportions) -> float
         raise ValueError("responsibility rows must be probability vectors")
     if resp.shape[1] != props.k or resp.shape[1] != conn.k:
         raise ValueError("responsibilities, proportions and connectivity disagree on k")
-    loss = make_loss("bernoulli_nll")
-    kernel = CostKernel(adj, loss)
-    if resp.shape[0] != kernel.n:
-        raise ValueError("responsibilities and adjacency disagree on n")
-    theta = loss.prepare_theta(conn)
     col = resp.sum(axis=0)
     w = props.weights
     if np.any((w == 0.0) & (col > 0.0)):
         raise ValueError("a cluster with zero prior mass carries responsibility")
-    quad = float(np.vdot(kernel.cost(resp, theta), resp))
+    quad = srgw_objective(adj, resp, conn, make_loss("bernoulli_nll"))
     entropy = -float(xlogy(resp, resp).sum())
     prior = float(xlogy(col, w).sum())
     return -0.5 * quad + entropy + prior
@@ -430,10 +402,7 @@ def entropic_objective(plan, adj, conn: ConnectivityMatrix) -> float:
 
     t = _plan_matrix(plan)
     n = t.shape[0]
-    loss = make_loss("bernoulli_nll")
-    kernel = CostKernel(adj, loss)
-    theta = loss.prepare_theta(conn)
-    lp = float(np.vdot(kernel.cost(t, theta), t))
+    lp = srgw_objective(adj, t, conn, make_loss("bernoulli_nll"))
     h_plan = -float(xlogy(t, t).sum())
     q = t.sum(axis=0)
     h_mass = -float(xlogy(q, q).sum())

@@ -10,6 +10,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import gwsbm
 from gwsbm import AdjacencyMatrix, ConnectivityMatrix, TransportPlan
@@ -43,6 +44,20 @@ def quadruple_objective(a, t, theta, loss):
                 for ll in range(k):
                     acc += float(loss(a[i, j], theta[kk, ll])) * t[i, kk] * t[j, ll]
     return acc
+
+
+def quadruple_magnitude(a, t, theta, loss):
+    """:func:`quadruple_objective` with each loss term's parts in absolute value.
+
+    The scale of the objective's rounding error: the terms f1, f2 and
+    a * h2 can cancel (an exact squared-loss fit sums to ~0), so an
+    objective is only as accurate as this, not as its own value.
+    """
+
+    def magnitude(x, b):
+        return abs(loss.f1(x)) + abs(loss.f2(b)) + abs(x * loss.h2(b))
+
+    return quadruple_objective(a, t, theta, magnitude)
 
 
 def golden_min(f, lo, hi, iters=150):
@@ -109,8 +124,10 @@ def lloyd_by_masks(points, centers, max_iters):
     """Lloyd iterations with one boolean mask per cluster and step.
 
     The reference for ``initplans._lloyd``: empty clusters are checked in
-    cluster order, each stealing the point farthest from its center, and
-    each center is the mean of its cluster's rows.  Returns (labels,
+    cluster order, each stealing the point farthest from its center; a
+    cluster still empty after that pass (a later steal took its only point)
+    takes the farthest point among clusters with at least two members.
+    Each center is the mean of its cluster's rows.  Returns (labels,
     centers, inertia_history); ``centers`` is updated in place.
     """
     n = points.shape[0]
@@ -126,6 +143,13 @@ def lloyd_by_masks(points, centers, max_iters):
         for c in range(k):
             if not np.any(new_labels == c):
                 far = int(np.argmax(best))
+                new_labels[far] = c
+                centers[c] = points[far]
+                best[far] = 0.0
+        for c in range(k):
+            if not np.any(new_labels == c):
+                shared = np.array([np.sum(new_labels == new_labels[i]) >= 2 for i in range(n)])
+                far = int(np.argmax(np.where(shared, best, -np.inf)))
                 new_labels[far] = c
                 centers[c] = points[far]
                 best[far] = 0.0
@@ -174,6 +198,25 @@ def graph_for_loss(rng, n, kind):
     if kind == "exponential_nll":
         return random_positive_graph(rng, n)
     return random_binary_graph(rng, n)
+
+
+@st.composite
+def objective_instances(draw, max_n=8, max_k=3):
+    """(loss, adjacency, plan, connectivity) for objective properties.
+
+    The graph suits the loss; the plan is any nonnegative n x k array
+    (rows need not carry 1/n; entries are 0 or at least 1e-2, so that a
+    pair mass ``q_k q_l - sum_i t_ik t_il`` is at worst a hundredth of the
+    products it is computed from); the connectivity is symmetric inside
+    every loss domain.
+    """
+    kind = draw(st.sampled_from(gwsbm.LOSS_KINDS))
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_k))
+    entry = st.one_of(st.just(0.0), st.floats(1e-2, 1.0))
+    t = np.array(draw(st.lists(entry, min_size=n * k, max_size=n * k))).reshape(n, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gwsbm.make_loss(kind), graph_for_loss(rng, n, kind), t, random_theta(rng, k)
 
 
 def theta_bracket(kind):

@@ -13,6 +13,7 @@ from gwsbm import (
     brute_force_srgw,
     closed_form_connectivity,
     exact_log_likelihood,
+    fw_solve,
     labels_to_plan,
     make_loss,
     spectral_init,
@@ -20,6 +21,8 @@ from gwsbm import (
     sup_log_likelihood,
     vem_fit,
 )
+from gwsbm.baselines import _m_step, restarted_fw_minimum
+from gwsbm.losses import CostKernel
 from gwsbm.sbm import balanced_proportions, build_scenario, sample_graph
 
 
@@ -38,9 +41,10 @@ class TestVariationalEm:
         adj, labels = sample_graph(conn, balanced_proportions(2), 40, seed=0)
         resp = np.zeros((40, 2))
         resp[np.arange(40), labels.values] = 1.0
-        state = vem_fit(adj, 2, resp, max_iters=0)
-        reference = closed_form_connectivity(adj, resp / 40, make_loss("bernoulli_nll"))
-        np.testing.assert_allclose(state.connectivity.raw, reference.raw, atol=1e-12)
+        loss = make_loss("bernoulli_nll")
+        _, got = _m_step(CostKernel(adj, loss), resp)
+        reference = closed_form_connectivity(adj, resp / 40, loss)
+        np.testing.assert_allclose(got.raw, reference.raw, atol=1e-12)
 
     def test_easy_graph_recovers_partition(self):
         conn = build_scenario("assortative", 2, 0.3, 0.03)
@@ -195,3 +199,26 @@ class TestVertexEnumeration:
         theta = oracles.random_theta(rng, 2)
         with pytest.raises(ValueError):
             brute_force_srgw(adj, make_loss("bernoulli_nll"), theta)
+
+
+class TestRestartedSolver:
+    def test_minimum_over_every_hard_start(self):
+        rng = np.random.default_rng(12)
+        loss = make_loss("bernoulli_nll")
+        for _ in range(3):
+            n = int(rng.integers(3, 6))
+            adj = oracles.random_binary_graph(rng, n, p=0.5)
+            theta = oracles.random_theta(rng, 2)
+            expected = min(
+                srgw_objective(adj, fw_solve(adj, loss, theta, TransportPlan(t)), theta, loss)
+                for _, t in oracles.enumerate_hard_plans(n, 2)
+            )
+            value = restarted_fw_minimum(adj, loss, theta)
+            assert value == expected
+            assert value >= brute_force_srgw(adj, loss, theta)[0] - 1e-12
+
+    def test_enumeration_cap_enforced(self):
+        rng = np.random.default_rng(13)
+        adj = oracles.random_binary_graph(rng, 30)
+        with pytest.raises(ValueError):
+            restarted_fw_minimum(adj, make_loss("bernoulli_nll"), oracles.random_theta(rng, 2))

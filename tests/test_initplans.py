@@ -131,16 +131,15 @@ class TestKmeans:
         labels, _, _ = self.assert_lloyd_matches_oracle(points, np.array([[100.0], [10.0], [0.0]]), 1)
         assert labels.tolist() == [1, 2, 2, 0]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lloyd_steal_emptying_a_lower_cluster_matches_oracle(self):
-        """Cluster 2 steals cluster 0's only point; the pass does not revisit 0."""
+        """Cluster 2 steals cluster 0's only point; 0 then takes a shared cluster's point."""
         points = np.array([[0.0], [0.0], [0.0], [10.5]])
-        with np.errstate(invalid="ignore"):
-            labels, centers, _ = self.assert_lloyd_matches_oracle(
-                points, np.array([[10.0], [0.0], [100.0]]), 1
-            )
-        assert labels.tolist() == [1, 1, 1, 2]
-        assert np.isnan(centers[0, 0])
+        labels, centers, _ = self.assert_lloyd_matches_oracle(
+            points, np.array([[10.0], [0.0], [100.0]]), 1
+        )
+        assert labels.tolist() == [0, 1, 1, 2]
+        assert np.isfinite(centers).all()
+        assert np.bincount(labels, minlength=3).all()
 
     def test_empty_cluster_repair(self):
         """Duplicated points force empty clusters; repair keeps k centers."""

@@ -187,6 +187,19 @@ class TestLineSearchAlgebra:
                     )
 
 
+@given(instance=oracles.objective_instances())
+@settings(max_examples=200, deadline=None)
+def test_objective_matches_quadruple_loop_for_any_nonnegative_plan(instance):
+    """The summary formula prices every nonnegative plan, rows of any mass, to 1e-12
+    of the magnitude of its terms (they can cancel, so not of its value)."""
+    loss, adj, t, conn = instance
+    expected = oracles.quadruple_objective(adj.entries, t, conn.raw, loss)
+    scale = oracles.quadruple_magnitude(adj.entries, t, conn.raw, loss)
+    got = CostKernel(adj, loss).objective(t, loss.prepare_theta(conn))
+    assert abs(got - expected) <= 1e-12 * scale
+    assert srgw_objective(adj, t, conn, loss) == got
+
+
 def test_cost_zero_graph_zero_connectivity():
     adj = AdjacencyMatrix(np.zeros((4, 4)))
     plan = TransportPlan(np.full((4, 2), 1 / 8))

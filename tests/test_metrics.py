@@ -86,13 +86,6 @@ class TestPlanReadouts:
         nearly[:, 1] = 2.5e-7
         assert selected_k(TransportPlan(nearly)) == 1
 
-    def test_selected_k_tolerance_validated(self):
-        plan = TransportPlan(np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            selected_k(plan, mass_tol=0.5)
-        with pytest.raises(ValueError):
-            selected_k(plan, mass_tol=0.0)
-
     def test_label_accuracy_best_matching(self):
         truth = np.array([0, 0, 1, 1])
         assert label_accuracy(np.array([1, 1, 0, 0]), truth) == 1.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import xlogy
 
 import oracles
@@ -29,10 +31,10 @@ from gwsbm import (
     uniform_plan,
 )
 from gwsbm import solver
-from gwsbm.losses import CostKernel, pair_summaries
+from gwsbm.losses import CostKernel, summary_objective, theta_from_summaries
 from gwsbm.metrics import ari
 from gwsbm.sbm import Labels, balanced_proportions, build_scenario, sample_graph
-from gwsbm.solver import _merge_rowcol, _merge_step, _summary_score
+from gwsbm.solver import _merge_rowcol, _merge_step
 
 
 def one_edge_instance():
@@ -253,35 +255,37 @@ class TestClusterMerges:
         t = labels_to_plan(Labels(z, 3)).matrix.copy()
         return adj, t
 
-    def test_summary_score_equals_exact_penalized_objective(self):
-        rng = np.random.default_rng(9)
-        for kind in ("bernoulli_nll", "squared"):
-            loss = make_loss(kind)
-            adj = oracles.graph_for_loss(rng, 12, kind)
-            kernel = CostKernel(adj, loss)
-            plan = oracles.random_plan(rng, 12, 3)
-            t = plan.matrix
-            lam = 0.03
-            s, d, q = pair_summaries(kernel.a, t)
-            f1_term = float(kernel.fa.sum()) / 144.0
-            score = _summary_score(s, d, q, loss, lam, f1_term)
-            conn = closed_form_connectivity(adj, t, loss)
-            exact = srgw_objective(adj, t, conn, loss) + lam * column_mass_penalty(t)
-            assert score == pytest.approx(exact, abs=1e-10)
+    @given(instance=oracles.objective_instances(), lam=st.floats(0.0, 0.1))
+    @settings(max_examples=100, deadline=None)
+    def test_score_at_closed_form_equals_penalized_objective(self, instance, lam):
+        """The solver's score is the objective at the refit connectivity plus the penalty."""
+        loss, adj, t, _ = instance
+        kernel = CostKernel(adj, loss)
+        summ = kernel.pair_summaries(t)
+        conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
+        score = summary_objective(summ, loss.prepare_theta(conn), loss, lam)
+        closed = closed_form_connectivity(adj, t, loss)
+        assert np.array_equal(conn.raw, closed.raw)
+        assert score == srgw_objective(adj, t, closed, loss) + lam * column_mass_penalty(t)
+        penalty = lam * float(np.sum(np.sqrt(t.sum(axis=0))))
+        expected = oracles.quadruple_objective(adj.entries, t, closed.raw, loss) + penalty
+        scale = oracles.quadruple_magnitude(adj.entries, t, closed.raw, loss) + penalty
+        assert abs(score - expected) <= 1e-12 * scale
 
     def test_pair_summaries_additive_under_merges(self):
         rng = np.random.default_rng(10)
         adj = oracles.random_binary_graph(rng, 10)
         kernel = CostKernel(adj, make_loss("bernoulli_nll"))
         t = oracles.random_plan(rng, 10, 4).matrix
-        s, d, q = pair_summaries(kernel.a, t)
+        s, d, q, f1 = kernel.pair_summaries(t)
         merged = t.copy()
         merged[:, 1] += merged[:, 3]
         merged = np.delete(merged, 3, axis=1)
-        s2, d2, q2 = pair_summaries(kernel.a, merged)
+        s2, d2, q2, f1_merged = kernel.pair_summaries(merged)
         np.testing.assert_allclose(_merge_rowcol(s, 1, 3), s2, atol=1e-12)
         np.testing.assert_allclose(_merge_rowcol(d, 1, 3), d2, atol=1e-12)
         np.testing.assert_allclose(np.delete(q + (np.arange(4) == 1) * q[3], 3), q2, atol=1e-14)
+        assert f1_merged == pytest.approx(f1, rel=1e-14)
 
     def test_merge_rejoins_artificial_split(self):
         adj, t = self.make_split_state()
@@ -290,12 +294,17 @@ class TestClusterMerges:
         lam = 3 / 120
         conn = closed_form_connectivity(adj, t, loss)
         before = srgw_objective(adj, t, conn, loss) + lam * column_mass_penalty(t)
-        out, out_conn, out_pen = _merge_step(kernel, t, conn, before, sparsity=lam)
+        summ = kernel.pair_summaries(t)
+        out, out_summ, out_conn, out_pen = _merge_step(
+            kernel, t, summ, conn, before, sparsity=lam
+        )
         assert selected_k(TransportPlan(out)) == 2
         conn2 = closed_form_connectivity(adj, out, loss)
         after = srgw_objective(adj, out, conn2, loss) + lam * column_mass_penalty(out)
         assert after < before
-        # the returned connectivity and score are those of the returned plan
+        # the returned summaries, connectivity and score are those of the returned plan
+        for got, want in zip(out_summ, kernel.pair_summaries(out)):
+            assert np.array_equal(got, want)
         assert np.array_equal(out_conn.raw, conn2.raw)
         assert out_pen == pytest.approx(after, abs=1e-12)
 
@@ -305,12 +314,41 @@ class TestClusterMerges:
         kernel = CostKernel(adj, loss)
         conn = closed_form_connectivity(adj, t, loss)
         pen = srgw_objective(adj, t, conn, loss)
-        out, out_conn, out_pen = _merge_step(kernel, t, conn, pen, sparsity=0.0)
+        summ = kernel.pair_summaries(t)
+        out, out_summ, out_conn, out_pen = _merge_step(kernel, t, summ, conn, pen, sparsity=0.0)
         assert np.array_equal(out, t)
-        assert out_conn is conn and out_pen == pen
+        assert out_summ is summ and out_conn is conn and out_pen == pen
 
 
 class TestAlternatingFit:
+    @pytest.mark.parametrize("rounds", [1, solver.BCD_MAX_ITERS])
+    def test_pair_summaries_once_per_distinct_plan(self, monkeypatch, rounds):
+        """Connectivity refits, penalized objectives and merges share each plan's summaries."""
+        real_summaries, real_merge = CostKernel.pair_summaries, solver._merge_step
+        plans, merges = [], []
+
+        def counting(kernel, t):
+            plans.append((t.shape, t.tobytes()))
+            return real_summaries(kernel, t)
+
+        def merge_step(kernel, t, *args, **kwargs):
+            out = real_merge(kernel, t, *args, **kwargs)
+            merges.append(np.count_nonzero(t.sum(axis=0)) - np.count_nonzero(out[0].sum(axis=0)))
+            return out
+
+        monkeypatch.setattr(CostKernel, "pair_summaries", counting)
+        monkeypatch.setattr(solver, "_merge_step", merge_step)
+        monkeypatch.setattr(solver, "BCD_MAX_ITERS", rounds)
+        conn = build_scenario("assortative", 3, 0.35, 0.05)
+        for seed in range(3):
+            plans.clear()
+            merges.clear()
+            adj, _ = sample_graph(conn, balanced_proportions(3), 90, seed=seed)
+            result = bcd_fit(adj, make_loss("bernoulli_nll"), spectral_init(adj, 8, seed=seed),
+                             sparsity=8 / 180)
+            assert merges[0] > 0 and len(merges) == len(result.loss_history) <= rounds
+            assert len(plans) == len(set(plans))
+
     def test_easy_graph_recovers_partition(self):
         conn = build_scenario("assortative", 2, 0.3, 0.03)
         scores = []
