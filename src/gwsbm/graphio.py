@@ -63,8 +63,10 @@ def _first_edge_fault(path: str | Path, body: str, n: int) -> ValueError:
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
             return ValueError(f"{path}: {exc}")
-        if not (0 <= i < j < n):
+        if not (0 <= i < n and 0 <= j < n):
             return ValueError(f"{path}: edge ({i}, {j}) out of range for n={n}")
+        if not i < j:
+            return ValueError(f"{path}: edge ({i}, {j}) violates i < j")
     return ValueError(f"{path}: edge indices must be plain decimal integers")
 
 

@@ -60,6 +60,15 @@ def quadruple_magnitude(a, t, theta, loss):
     return quadruple_objective(a, t, theta, magnitude)
 
 
+def cost_magnitude(a, t, theta, loss):
+    """:func:`quadruple_cost` with each loss term's parts in absolute value: its rounding scale."""
+
+    def magnitude(x, b):
+        return abs(loss.f1(x)) + abs(loss.f2(b)) + abs(x * loss.h2(b))
+
+    return quadruple_cost(a, t, theta, magnitude)
+
+
 def golden_min(f, lo, hi, iters=150):
     """Scalar golden-section minimizer of a unimodal function on [lo, hi]."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -217,6 +226,30 @@ def objective_instances(draw, max_n=8, max_k=3):
     t = np.array(draw(st.lists(entry, min_size=n * k, max_size=n * k))).reshape(n, k)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return gwsbm.make_loss(kind), graph_for_loss(rng, n, kind), t, random_theta(rng, k)
+
+
+@st.composite
+def relabelings(draw, max_n=12, max_k=4):
+    """(loss, adjacency, connectivity, label vectors) for the neighbour-label sums.
+
+    The graph suits the loss, so it is 0/1, integer-count or real-weighted.
+    After the first label vector, each next one keeps every label, moves
+    every label (when k > 1), or is drawn afresh.
+    """
+    kind = draw(st.sampled_from(gwsbm.LOSS_KINDS))
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_k))
+    labels = [np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))]
+    for step in draw(st.lists(st.sampled_from(["none", "all", "any"]), min_size=1, max_size=4)):
+        if step == "none" or k == 1:
+            labels.append(labels[-1].copy())
+        elif step == "all":
+            shift = np.array(draw(st.lists(st.integers(1, k - 1), min_size=n, max_size=n)))
+            labels.append((labels[-1] + shift) % k)
+        else:
+            labels.append(np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gwsbm.make_loss(kind), graph_for_loss(rng, n, kind), random_theta(rng, k), labels
 
 
 def theta_bracket(kind):

@@ -440,10 +440,33 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1 1", "edge (1, 1) violates i < j"),
+            ("2 1", "edge (2, 1) violates i < j"),
+            ("1 3", "edge (1, 3) out of range for n=3"),
+        ],
+    )
+    def test_fit_names_the_faulty_edge(self, tmp_path, capsys, line, message):
+        """In-range indices out of order name the violated i < j; others stay out of range."""
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"3\n0 1\n{line}\n")
+        assert cli_dispatch(["fit", "--graph", str(graph), "--k", "2", "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_oracle_certifies_tiny_instance(self, capsys):
         assert cli_dispatch(["oracle", "--n", "6", "--k", "2", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "oracle check passed" in out
+
+    @pytest.mark.parametrize("args", [[], ["--n", "7", "--seed", "3"]])
+    def test_oracle_gap_is_not_rounding_noise_below_zero(self, capsys, args):
+        """Both sides of the gap are priced by one formula, so equal optima give no negative gap."""
+        assert cli_dispatch(["oracle", *args]) == 0
+        out = capsys.readouterr().out
+        gap = next(line for line in out.splitlines() if line.startswith("gap:"))
+        assert float(gap.split()[1]) >= 0.0
 
     def test_experiment_subcommand(self, tmp_path):
         config = tiny_config(tmp_path)

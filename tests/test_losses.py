@@ -1,6 +1,7 @@
 """Loss decompositions, the fast cost kernel, and closed-form connectivity."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gwsbm import (
     make_loss,
     srgw_objective,
 )
+from gwsbm import losses
 from gwsbm.losses import DENOMINATOR_FLOOR
 from gwsbm.sbm import block_densities, build_scenario, balanced_proportions, sample_graph
 from gwsbm.initplans import labels_to_plan
@@ -198,6 +200,39 @@ def test_objective_matches_quadruple_loop_for_any_nonnegative_plan(instance):
     got = CostKernel(adj, loss).objective(t, loss.prepare_theta(conn))
     assert abs(got - expected) <= 1e-12 * scale
     assert srgw_objective(adj, t, conn, loss) == got
+
+
+@given(instance=oracles.relabelings(), always_update=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_label_sums_track_relabelings_and_price_the_vertex(instance, always_update):
+    """Updated neighbour-label sums equal a fresh ``A @ onehot``, bitwise on 0/1 and
+    count graphs and to 1e-12 of each row's weight on real-weighted ones, and the
+    vertex cost built from them is ``cost(x)``: bitwise on 0/1 graphs, to 1e-15 of
+    the cost's magnitude on the others."""
+    loss, adj, conn, chain = instance
+    kernel = CostKernel(adj, loss)
+    theta = loss.prepare_theta(conn)
+    n, k = adj.n, conn.k
+    exact = np.array_equal(adj.entries, np.round(adj.entries))
+    scale = np.abs(adj.entries).sum(axis=1, keepdims=True)
+    share = 1.0 if always_update else losses._UPDATE_ROWS  # 1.0: never rebuild
+    with mock.patch.object(losses, "_UPDATE_ROWS", share):
+        sums = kernel.label_sums(chain[0], k)
+        for old, labels in zip(chain, chain[1:]):
+            sums = kernel.label_sums(labels, k, sums, old)
+            onehot = np.eye(k)[labels]
+            fresh = adj.entries @ onehot
+            if exact:
+                assert np.array_equal(sums, fresh)
+            else:
+                assert np.all(np.abs(sums - fresh) <= 1e-12 * scale)
+    x = onehot / n
+    vertex = kernel.assemble_cost(x, kernel.onehot_product(sums), theta)
+    if np.all(np.isin(adj.entries, (0.0, 1.0))):
+        assert np.array_equal(vertex, kernel.cost(x, theta))
+    else:
+        bound = 1e-15 * oracles.cost_magnitude(adj.entries, x, theta, loss)
+        assert np.all(np.abs(vertex - kernel.cost(x, theta)) <= bound)
 
 
 def test_cost_zero_graph_zero_connectivity():

@@ -298,8 +298,8 @@ class TestGraphIO:
             ("3\n0\n", "malformed edge line '0'"),
             ("3\n0 x\n", "x"),
             ("3\n0 1.5\n", "1.5"),
-            ("3\n2 2\n", r"edge \(2, 2\) out of range for n=3"),
-            ("3\n2 1\n", r"edge \(2, 1\) out of range for n=3"),
+            ("3\n2 2\n", r"edge \(2, 2\) violates i < j"),
+            ("3\n2 1\n", r"edge \(2, 1\) violates i < j"),
             ("3\n0 3\n", r"edge \(0, 3\) out of range for n=3"),
             ("3\n-1 2\n", r"edge \(-1, 2\) out of range for n=3"),
             ("3\n0 99999999999999999999\n", "out of range for n=3"),
@@ -315,6 +315,9 @@ class TestGraphIO:
             ("3\n0 1\n0 1\n", [(0, 1)]),
             ("3\n", []),
             ("1\n", []),
+            ("3\n1 1\n", r"edge \(1, 1\) violates i < j"),
+            ("3\n0 1\n2 1\n", r"edge \(2, 1\) violates i < j"),
+            ("3\n2 -1\n", r"edge \(2, -1\) out of range for n=3"),
         ],
     )
     def test_edge_list_parse_table(self, tmp_path, text, expected):
