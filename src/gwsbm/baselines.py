@@ -18,6 +18,9 @@ from .solver import _stalled, elbo_value, fw_solve
 #: Hard cap on k**n for the exhaustive routines.
 ENUMERATION_CAP = 10_000_000
 
+#: Lower cap for :func:`restarted_fw_minimum`, which runs one Frank-Wolfe solve per labeling.
+RESTART_CAP = 1_000_000
+
 _CHUNK = 1 << 14
 
 #: Proportions are clamped here when a cluster empties during VEM.
@@ -110,12 +113,10 @@ def _assignment_digits(start: int, stop: int, n: int, k: int) -> np.ndarray:
     return (idx[:, None] // powers[None, :]) % k
 
 
-def _guard_enumeration(n: int, k: int) -> int:
+def _guard_enumeration(n: int, k: int, cap: int = ENUMERATION_CAP) -> int:
     count = k**n
-    if count > ENUMERATION_CAP:
-        raise ValueError(
-            f"{k}**{n} assignments exceed the enumeration cap of {ENUMERATION_CAP}"
-        )
+    if count > cap:
+        raise ValueError(f"{k}**{n} assignments exceed the enumeration cap of {cap}")
     return count
 
 
@@ -291,11 +292,12 @@ def brute_force_srgw(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> tuple[f
 def restarted_fw_minimum(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> float:
     """Least objective :func:`gwsbm.solver.fw_solve` reaches from any hard plan (k**n starts).
 
-    Guarded like the enumeration; :func:`brute_force_srgw` is the optimum it should reach.
+    Refuses k**n above ``RESTART_CAP`` before any solve; :func:`brute_force_srgw`
+    is the optimum it should reach.
     """
     n = adj.n
     k = loss.prepare_theta(conn).shape[0]
-    count = _guard_enumeration(n, k)
+    count = _guard_enumeration(n, k, RESTART_CAP)
     best = np.inf
     for startv in range(0, count, _CHUNK):
         for z in _assignment_digits(startv, min(startv + _CHUNK, count), n, k):

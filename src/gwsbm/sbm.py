@@ -132,8 +132,10 @@ class ConnectivityMatrix:
 
         Identical profiles make clusters statistically indistinguishable,
         so a fit whose connectivity fails this check is degenerate.  Rows
-        whose cells are all ``inactive`` belong to clusters without mass;
-        they hold the neutral placeholder and are left out of the check.
+        tie only when equal bit for bit; a tolerance for near-ties would be
+        a guessed constant.  Rows whose cells are all ``inactive`` belong to
+        clusters without mass; they hold the neutral placeholder and are
+        left out of the check.
         """
         rows = self.raw
         if self.inactive is not None:

@@ -97,8 +97,8 @@ class FitResult:
     ``loss_history`` records the penalized objective once per outer
     iteration and is non-increasing.  ``k_hat`` counts clusters whose mass
     exceeds 1e-6.  ``degenerate`` is set when the graph has no edges or
-    two live clusters share a connectivity profile (see
-    :meth:`ConnectivityMatrix.has_distinct_profiles`).
+    two live clusters share a connectivity profile bit for bit; near-ties
+    count as distinct (see :meth:`ConnectivityMatrix.has_distinct_profiles`).
     """
 
     plan: TransportPlan
@@ -138,7 +138,6 @@ def _merge_step(
     pen: float,
     *,
     sparsity: float = 0.0,
-    on_iterate=None,
 ) -> tuple[np.ndarray, tuple, ConnectivityMatrix, float]:
     """Pour one cluster into another while that strictly lowers the score.
 
@@ -183,8 +182,6 @@ def _merge_step(
         if not merged_pen < pen:
             return t, summ, conn, pen
         t, summ, conn, pen = merged, merged_summ, merged_conn, merged_pen
-        if on_iterate is not None:
-            on_iterate(t, pen)
 
 
 def _stalled(prev: float, new: float, rtol: float) -> bool:
@@ -211,7 +208,8 @@ def _fw_core(
     Applies the cost to ``t0`` and then once per iteration, to the vertex,
     through neighbour-label sums carried from one vertex to the next.
     Stops at the first step that leaves the plan unchanged, so it returns
-    ``t0`` itself when no step moves it.
+    ``t0`` itself when no step moves it.  ``on_iterate(t, obj)`` sees ``t0``
+    and every accepted iterate, with this objective.
     """
     n, k = t0.shape
     t = t0
@@ -258,20 +256,14 @@ def _fw_core(
     return t
 
 
-def fw_solve(
-    adj,
-    loss: CompositeLoss,
-    conn,
-    plan0: TransportPlan,
-    on_iterate=None,
-) -> TransportPlan:
+def fw_solve(adj, loss: CompositeLoss, conn, plan0: TransportPlan) -> TransportPlan:
     """Minimize the objective at fixed connectivity from a feasible start.
 
     This is :func:`mm_solve` without penalty: one Frank-Wolfe run.  Ties
     in the row-wise oracle resolve to the lowest cluster index, so runs
     are deterministic.
     """
-    return mm_solve(adj, loss, conn, plan0, on_iterate=on_iterate)
+    return mm_solve(adj, loss, conn, plan0)
 
 
 def _mm_core(
@@ -316,6 +308,11 @@ def mm_solve(
     current plan and runs Frank-Wolfe warm-started, stopping when the
     true penalized objective stalls.  With ``sparsity == 0`` this is a
     single plain Frank-Wolfe solve.
+
+    ``on_iterate(t, obj)`` sees the start and each accepted iterate of
+    every Frank-Wolfe run with that run's own objective, the round's linear
+    term (:func:`penalty_linearization`) included: never a penalized
+    objective or a merge score.
     """
     sparsity = _check_sparsity(sparsity)
     theta = loss.prepare_theta(conn)
@@ -331,7 +328,6 @@ def bcd_fit(
     plan0: TransportPlan,
     *,
     sparsity: float = 0.0,
-    on_iterate=None,
 ) -> FitResult:
     """Alternate closed-form connectivity updates with plan solves.
 
@@ -351,13 +347,11 @@ def bcd_fit(
     summ = kernel.pair_summaries(t)
     conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
     for _ in range(BCD_MAX_ITERS):
-        t, summ = _mm_core(kernel, loss.prepare_theta(conn), t, summ, sparsity, on_iterate)
+        t, summ = _mm_core(kernel, loss.prepare_theta(conn), t, summ, sparsity)
         conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
         pen = summary_objective(summ, conn.raw, loss, sparsity)
         if sparsity > 0.0:
-            t, summ, conn, pen = _merge_step(
-                kernel, t, summ, conn, pen, sparsity=sparsity, on_iterate=on_iterate
-            )
+            t, summ, conn, pen = _merge_step(kernel, t, summ, conn, pen, sparsity=sparsity)
         history.append(_check_finite(pen, "bcd_fit"))
         if len(history) > 1 and _stalled(history[-2], pen, BCD_REL_TOL):
             break

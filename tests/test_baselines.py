@@ -21,7 +21,8 @@ from gwsbm import (
     sup_log_likelihood,
     vem_fit,
 )
-from gwsbm.baselines import _m_step, restarted_fw_minimum
+from gwsbm import baselines
+from gwsbm.baselines import ENUMERATION_CAP, RESTART_CAP, _m_step, restarted_fw_minimum
 from gwsbm.losses import CostKernel
 from gwsbm.sbm import balanced_proportions, build_scenario, sample_graph
 
@@ -221,4 +222,17 @@ class TestRestartedSolver:
         rng = np.random.default_rng(13)
         adj = oracles.random_binary_graph(rng, 30)
         with pytest.raises(ValueError):
+            restarted_fw_minimum(adj, make_loss("bernoulli_nll"), oracles.random_theta(rng, 2))
+
+    def test_restart_cap_refuses_before_any_solve(self, monkeypatch):
+        """2**20 starts pass the enumeration cap but not the restarts' own, lower one."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved past the cap")
+
+        monkeypatch.setattr(baselines, "fw_solve", never)
+        assert RESTART_CAP < 2**20 <= ENUMERATION_CAP
+        rng = np.random.default_rng(14)
+        adj = oracles.random_binary_graph(rng, 20)
+        with pytest.raises(ValueError, match=f"cap of {RESTART_CAP}"):
             restarted_fw_minimum(adj, make_loss("bernoulli_nll"), oracles.random_theta(rng, 2))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from gwsbm import (
     run_lambda_sweep,
     selected_k,
 )
+from gwsbm import cli
 from gwsbm.cli import cli_dispatch
 from gwsbm.harness import (
     CONSISTENCY_COLUMNS,
@@ -455,18 +457,101 @@ class TestCli:
         assert cli_dispatch(["fit", "--graph", str(graph), "--k", "2", "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
 
+    STAR6 = "6\n0 1\n0 2\n0 3\n0 4\n0 5\n"
+
+    @pytest.mark.parametrize(
+        "graph, k, code, k_hat, degenerate",
+        [
+            ("5\n", 2, 0, 1, True),  # no edges: one cluster, flagged degenerate
+            (STAR6, 3, 0, 2, False),  # the hub and its leaves
+            ("6\n0 1\n0 2\n1 2\n", 3, 0, 2, False),  # a triangle and three isolated nodes
+            ("1\n", 1, 0, 1, True),
+            ("2\n0 1\n", 1, 0, 1, False),
+            (STAR6, 6, 0, 2, False),  # k = n
+            (STAR6, 7, 1, None, None),  # k = n + 1
+            ("1\n", 2, 1, None, None),
+        ],
+        ids=["empty", "star", "isolated", "n=1", "n=2", "k=n", "k=n+1", "n=1 k=2"],
+    )
+    def test_fit_edge_inputs(self, tmp_path, capsys, graph, k, code, k_hat, degenerate):
+        """Tiny and degenerate graphs end in a documented report or in exit code 1."""
+        path = tmp_path / "g.txt"
+        path.write_text(graph)
+        outdir = tmp_path / "fit"
+        argv = ["fit", "--graph", str(path), "--k", str(k), "--out", str(outdir)]
+        assert cli_dispatch(argv) == code
+        if code != 0:
+            assert "k must satisfy 1 <= k <= n" in capsys.readouterr().err
+            assert not outdir.exists()
+            return
+        report = json.loads((outdir / "report.json").read_text())
+        assert (report["k_hat"], report["degenerate"]) == (k_hat, degenerate)
+        assert math.isfinite(report["final_loss"])
+
+    def test_fit_failed_report_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        """A report write that fails midway leaves no report.json and no temp file."""
+        graph = tmp_path / "g.txt"
+        graph.write_text(self.STAR6)
+        outdir = tmp_path / "fit"
+        real_fdopen = os.fdopen
+
+        class FailingFile:
+            """Writes half the text to the temp file, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        def fdopen(fd, *args, **kwargs):
+            fh = real_fdopen(fd, *args, **kwargs)
+            temps = [p.name for p in outdir.glob("*.tmp")]
+            return FailingFile(fh) if any(n.startswith("report.json") for n in temps) else fh
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        argv = ["fit", "--graph", str(graph), "--k", "3", "--out", str(outdir)]
+        assert cli_dispatch(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in outdir.iterdir()) == ["labels.csv", "theta.csv"]
+
     def test_oracle_certifies_tiny_instance(self, capsys):
         assert cli_dispatch(["oracle", "--n", "6", "--k", "2", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "oracle check passed" in out
 
-    @pytest.mark.parametrize("args", [[], ["--n", "7", "--seed", "3"]])
+    @pytest.mark.parametrize(
+        "args", [[], ["--n", "7", "--seed", "3"], ["--n", "7", "--seed", "1"]]
+    )
     def test_oracle_gap_is_not_rounding_noise_below_zero(self, capsys, args):
-        """Both sides of the gap are priced by one formula, so equal optima give no negative gap."""
+        """Equal optima summed in different orders print a zero gap, never a negative one.
+
+        At ``--n 7 --seed 1`` the restarts end on a soft plan tied with the
+        optimum, which prices an ulp below it.
+        """
         assert cli_dispatch(["oracle", *args]) == 0
         out = capsys.readouterr().out
         gap = next(line for line in out.splitlines() if line.startswith("gap:"))
-        assert float(gap.split()[1]) >= 0.0
+        assert gap == "gap: 0.000e+00"
+
+    def test_oracle_refuses_too_many_restarts_before_enumerating(self, monkeypatch, capsys):
+        """2**20 hard plans exceed the restarts' cap of 1e6: exit 1 before any sampling or search."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the cap")
+
+        for name in ("sample_graph", "brute_force_srgw", "restarted_fw_minimum"):
+            monkeypatch.setattr(cli, name, never)
+        assert cli_dispatch(["oracle", "--n", "20", "--k", "2"]) == 1
+        assert "exceed the enumeration cap of 1000000" in capsys.readouterr().err
 
     def test_experiment_subcommand(self, tmp_path):
         config = tiny_config(tmp_path)

@@ -71,6 +71,10 @@ def test_distinct_profiles_flag():
     tied = theta.copy()
     tied[:2, :2] = 0.3
     assert not ConnectivityMatrix(tied, inactive=dead).has_distinct_profiles()
+    # ties are exact: two live rows one ulp apart are distinct
+    near = tied.copy()
+    near[1, 1] = np.nextafter(0.3, 1.0)
+    assert ConnectivityMatrix(near, inactive=dead).has_distinct_profiles()
 
 
 def test_unbalanced_proportions_values():
