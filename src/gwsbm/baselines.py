@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initplans import labels_to_plan
-from .losses import CompositeLoss, CostKernel, make_loss, srgw_objective
+from .losses import CompositeLoss, CostKernel, TransportPlan, make_loss
 from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
-from .solver import _stalled, elbo_value, fw_solve
+from .solver import _fw_core, _stalled, elbo_value
 
 #: Hard cap on k**n for the exhaustive routines.
 ENUMERATION_CAP = 10_000_000
@@ -293,14 +293,17 @@ def restarted_fw_minimum(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> flo
     """Least objective :func:`gwsbm.solver.fw_solve` reaches from any hard plan (k**n starts).
 
     Refuses k**n above ``RESTART_CAP`` before any solve; :func:`brute_force_srgw`
-    is the optimum it should reach.
+    is the optimum it should reach.  Every start shares one cost kernel, and
+    each result is checked as a plan and priced from its pair summaries.
     """
     n = adj.n
-    k = loss.prepare_theta(conn).shape[0]
+    theta = loss.prepare_theta(conn)
+    k = theta.shape[0]
     count = _guard_enumeration(n, k, RESTART_CAP)
+    kernel = CostKernel(adj, loss)
     best = np.inf
     for startv in range(0, count, _CHUNK):
         for z in _assignment_digits(startv, min(startv + _CHUNK, count), n, k):
-            plan = fw_solve(adj, loss, conn, labels_to_plan(Labels(z, k)))
-            best = min(best, srgw_objective(adj, plan, conn, loss))
+            t = _fw_core(kernel, theta, labels_to_plan(Labels(z, k)).matrix, None)
+            best = min(best, kernel.objective(TransportPlan(t).matrix, theta))
     return best

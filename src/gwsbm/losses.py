@@ -17,9 +17,9 @@ nonzero, and one exact correction removes it.  ``f1(0) = 0`` also means
 ``f1(A)`` as sparse CSR arrays and one cost application takes
 O(|E| k + n k^2) time for a graph with |E| stored entries.  The products
 are assembled in one place (:meth:`CostKernel.assemble_cost`) from a given
-``A @ T``: for a one-hot plan, such as a Frank-Wolfe vertex, that product
-follows from the neighbour-label sums (:meth:`CostKernel.label_sums`,
-:meth:`CostKernel.onehot_product`), which a caller updates over the
+``A @ T``: for a one-hot plan of mass u per row, such as a Frank-Wolfe
+vertex, that product is u times the neighbour-label sums
+(:meth:`CostKernel.label_sums`), which a caller updates over the
 relabelled rows alone.
 
 The objective ``<cost(T), T>`` and the connectivity minimizing it at a
@@ -224,10 +224,9 @@ class CostKernel:
     entries where it does not vanish, without copying A, so it is empty
     for the Bernoulli and exponential losses.  Each :meth:`cost` call then
     costs O(|E| k + n k^2): one sparse ``A @ T`` plus products with the
-    k x k connectivity.  :meth:`assemble_cost` takes ``A @ T`` as given, and
-    for one-hot plans :meth:`label_sums` and :meth:`onehot_product` form it,
-    updating it in O(sum of the relabelled rows' degrees) and exactly as
-    the sparse product rounds it on 0/1 graphs.
+    k x k connectivity.  :meth:`assemble_cost` takes ``A @ T`` as given; for
+    one-hot plans it is a multiple of :meth:`label_sums`, which an update
+    carries to the next labels in O(sum of the relabelled rows' degrees).
     """
 
     def __init__(self, adj, loss: CompositeLoss):
@@ -241,12 +240,6 @@ class CostKernel:
         # fa's row pointers: the kept entries that precede each row of A
         indptr = np.searchsorted(kept, self.a.indptr)
         self.fa = sparse.csr_array((f1[kept], self.a.indices[kept], indptr), shape=self.a.shape)
-        # on a 0/1 graph, entry c is c copies of 1/n added one at a time, as A @ x adds
-        # them for a one-hot x of mass 1/n (see onehot_product)
-        self._unit_runs = None
-        if np.all(self.a.data == 1.0):
-            degree = int(np.diff(self.a.indptr).max(initial=0))
-            self._unit_runs = np.concatenate(([0.0], np.cumsum(np.full(degree, 1.0 / self.n))))
 
     def cost(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Apply the cost tensor to a plan, excluding i == j terms exactly.
@@ -283,39 +276,23 @@ class CostKernel:
         l to l' moves that row's entries from column l of ``W`` to column l'.
         That costs O(sum of the relabelled rows' degrees) and allocates
         nothing plan-sized.  The sums are rebuilt instead when more than
-        ``_UPDATE_ROWS`` of the rows were relabelled.  On a 0/1 graph they
-        are integer neighbour counts, which :meth:`onehot_product` reads as
-        indices.  On an integer-valued A every sum is exact, so updated and
-        rebuilt sums agree bit for bit; on a real-valued A an update rounds
-        differently from a rebuild.
+        ``_UPDATE_ROWS`` of the rows were relabelled.  The sums are float64
+        for every graph; on an integer-valued A each is an exact integer,
+        so updated and rebuilt sums agree bit for bit, while on a
+        real-valued A an update rounds differently from a rebuild.
         """
-        counts = self._unit_runs is not None
         if sums is not None:
             changed = np.flatnonzero(labels != old)
             if changed.size <= _UPDATE_ROWS * self.n:
                 indptr, indices, data = self.a.indptr, self.a.indices, self.a.data
                 for j in changed:
                     row = slice(indptr[j], indptr[j + 1])
-                    weights = 1 if counts else data[row]
-                    np.subtract.at(sums[:, old[j]], indices[row], weights)
-                    np.add.at(sums[:, labels[j]], indices[row], weights)
+                    np.subtract.at(sums[:, old[j]], indices[row], data[row])
+                    np.add.at(sums[:, labels[j]], indices[row], data[row])
                 return sums
         onehot = np.zeros((self.n, k))
         onehot[np.arange(self.n), labels] = 1.0
-        sums = self.a @ onehot
-        return sums.astype(np.intp) if counts else sums
-
-    def onehot_product(self, sums: np.ndarray) -> np.ndarray:
-        """``A @ x`` for the plan x with mass 1/n on each row's label, from its :meth:`label_sums`.
-
-        On a 0/1 graph the sums count neighbours, and the product is read
-        from running sums of 1/n: bit for bit the sparse product, whose rows
-        add 1/n once per neighbour.  Otherwise it is ``(1/n) * sums``, which
-        can differ from the sparse product in the last bit.
-        """
-        if self._unit_runs is None:
-            return (1.0 / self.n) * sums
-        return self._unit_runs[sums]
+        return self.a @ onehot
 
     def pair_summaries(self, t: np.ndarray) -> tuple:
         """``(s, d, q, f1)``: all the objective and the closed-form connectivity read of ``t``.

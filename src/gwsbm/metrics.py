@@ -123,10 +123,8 @@ def connectivity_error(conn_hat, conn_star, labels_hat, labels_star) -> float:
     z_star = _label_values(labels_star)
     if z_hat.shape != z_star.shape:
         raise ValueError("partitions must label the same nodes")
-    active = np.unique(z_hat)
+    active, z_hat = np.unique(z_hat, return_inverse=True)
     theta_hat = theta_hat[np.ix_(active, active)]
-    remap = {int(c): i for i, c in enumerate(active)}
-    z_hat = np.array([remap[int(c)] for c in z_hat], dtype=np.int64)
     k = max(theta_hat.shape[0], theta_star.shape[0])
     theta_hat = _pad(theta_hat, k)
     theta_star = _pad(theta_star, k)

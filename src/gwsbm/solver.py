@@ -12,12 +12,10 @@ Three nested loops:
   ``f0 + b gamma + a gamma^2`` with ``a = <mx - m, d>`` and
   ``b = <2 m (+ linear), d>``, the gradient along ``d``.  Each iteration
   applies the cost once, to the vertex.  The vertex is one-hot with mass
-  ``1/n``, so its ``A @ x`` follows from the neighbour-label sums of its
-  labels (:meth:`gwsbm.losses.CostKernel.label_sums` and
-  :meth:`~gwsbm.losses.CostKernel.onehot_product`), which each run builds
-  once and then updates over the rows whose label changed: consecutive
-  vertices differ on about 1 % of the rows.  On 0/1 graphs the product is
-  the sparse product's, bit for bit.
+  ``1/n``, so its ``A @ x`` is ``1/n`` times the neighbour-label sums of
+  its labels (:meth:`gwsbm.losses.CostKernel.label_sums`), which each run
+  builds once and then updates over the rows whose label changed:
+  consecutive vertices differ on about 1 % of the rows.
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
   masses.  Each round linearizes the concave penalty at the current plan
   and hands the resulting linear cost to Frank-Wolfe (warm-started), which
@@ -228,10 +226,10 @@ def _fw_core(
         cols, old = np.argmin(grad, axis=1), cols
         x = np.zeros_like(t)
         x[rows, cols] = unit
-        # A @ x follows from the neighbour-label sums, which the last vertex's
+        # A @ x is unit times the neighbour-label sums, which the last vertex's
         # sums give after an update over the rows whose label changed
         sums = kernel.label_sums(cols, k, sums, old)
-        mx = kernel.assemble_cost(x, kernel.onehot_product(sums), theta)
+        mx = kernel.assemble_cost(x, unit * sums, theta)
         # the objective along t + gamma d is exactly f0 + b gamma + a gamma^2:
         # the cost is linear in the plan and self-adjoint, so cost(d) = mx - m
         d = x - t

@@ -218,6 +218,26 @@ class TestRestartedSolver:
             assert value == expected
             assert value >= brute_force_srgw(adj, loss, theta)[0] - 1e-12
 
+    def test_one_kernel_and_one_summary_per_start(self, monkeypatch):
+        """All k**n starts share one cost kernel, and each result is summarized once."""
+        counts = {"kernels": 0, "summaries": 0}
+        real_init, real_summaries = CostKernel.__init__, CostKernel.pair_summaries
+
+        def init(self, adj, loss):
+            counts["kernels"] += 1
+            real_init(self, adj, loss)
+
+        def pair_summaries(self, t):
+            counts["summaries"] += 1
+            return real_summaries(self, t)
+
+        monkeypatch.setattr(CostKernel, "__init__", init)
+        monkeypatch.setattr(CostKernel, "pair_summaries", pair_summaries)
+        rng = np.random.default_rng(15)
+        adj = oracles.random_binary_graph(rng, 6, p=0.5)
+        restarted_fw_minimum(adj, make_loss("bernoulli_nll"), oracles.random_theta(rng, 2))
+        assert counts == {"kernels": 1, "summaries": 2**6}
+
     def test_enumeration_cap_enforced(self):
         rng = np.random.default_rng(13)
         adj = oracles.random_binary_graph(rng, 30)
@@ -230,7 +250,7 @@ class TestRestartedSolver:
         def never(*args, **kwargs):
             raise AssertionError("solved past the cap")
 
-        monkeypatch.setattr(baselines, "fw_solve", never)
+        monkeypatch.setattr(baselines, "_fw_core", never)
         assert RESTART_CAP < 2**20 <= ENUMERATION_CAP
         rng = np.random.default_rng(14)
         adj = oracles.random_binary_graph(rng, 20)

