@@ -267,8 +267,6 @@ def brute_force_srgw(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> tuple[f
     theta = loss.prepare_theta(conn)
     k = theta.shape[0]
     count = _guard_enumeration(n, k)
-    if not np.allclose(theta, theta.T, rtol=0.0, atol=0.0):
-        raise ValueError("connectivity must be symmetric")
     f2t = np.asarray(loss.f2(theta), dtype=np.float64)
     h2t = np.asarray(loss.h2(theta), dtype=np.float64)
     iu, ju = np.triu_indices(n, 1)

@@ -32,7 +32,9 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
-    """Write a binary graph as an edge list."""
+    """Write a 0/1 graph as an edge list; a weighted graph raises ``ValueError``."""
+    if np.any(adj.csr.data != 1.0):
+        raise ValueError("edge lists hold 0/1 graphs only; this graph has weighted edges")
     coo = adj.csr.tocoo()  # the canonical CSR's order: row-major, columns sorted
     upper = coo.row < coo.col
     iu, ju = coo.row[upper], coo.col[upper]

@@ -19,8 +19,8 @@ O(|E| k + n k^2) time for a graph with |E| stored entries.  The products
 are assembled in one place (:meth:`CostKernel.assemble_cost`) from a given
 ``A @ T``: for a one-hot plan of mass u per row, such as a Frank-Wolfe
 vertex, that product is u times the neighbour-label sums
-(:meth:`CostKernel.label_sums`), which a caller updates over the
-relabelled rows alone.
+(:meth:`CostKernel.label_sums`), which a caller builds once and then
+updates over the relabelled rows alone.
 
 The objective ``<cost(T), T>`` and the connectivity minimizing it at a
 fixed plan read the plan only through its pair summaries
@@ -46,13 +46,6 @@ ROW_SUM_TOL = 1e-10
 
 #: Pair-mass floor below which a closed-form connectivity cell is inactive.
 DENOMINATOR_FLOOR = 1e-12
-
-#: Largest share of the rows that :meth:`CostKernel.label_sums` updates rather
-#: than rebuilds.  At n=1000, k=10 (one BLAS thread, 2-core x86_64) an update
-#: took about 10 us per relabelled row on graphs of mean degree 53 and 370
-#: alike, and a rebuild 0.39 ms and 2.2 ms: on the sparser graph the two meet
-#: near 5 % of the rows, which 3-4 % of the steps of workload-shaped fits exceed.
-_UPDATE_ROWS = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,8 +82,8 @@ class CompositeLoss:
         """Extract loss-appropriate connectivity values.
 
         ``ConnectivityMatrix`` inputs are clipped into ``theta_clamp``.
-        Plain arrays are taken as-is and must already be valid, which
-        signals the need for clamping upstream.
+        Plain arrays are taken as-is: they must be valid (clamped upstream)
+        and exactly symmetric, as Frank-Wolfe's gradient ``2 cost`` needs.
         """
         if isinstance(conn, ConnectivityMatrix):
             return np.clip(conn.raw, *self.theta_clamp)
@@ -102,6 +95,8 @@ class CompositeLoss:
                 f"connectivity entries escape the {self.kind} domain; "
                 "clamp them upstream"
             )
+        if not np.array_equal(vals, vals.T):
+            raise ValueError("connectivity must be symmetric")
         return vals
 
 
@@ -270,29 +265,27 @@ class CostKernel:
         """Neighbour-label sums ``W = A @ onehot(labels)`` over ``k`` labels.
 
         ``W[i, l]`` adds ``A[i, j]`` over the nodes j labelled l, so a plan
-        putting mass u on each row's label has ``A @ plan = u W``.  Given
-        the sums ``sums`` of the labels ``old``, updates them in place: A is
-        symmetric, so its column j is its CSR row j, and relabelling j from
-        l to l' moves that row's entries from column l of ``W`` to column l'.
-        That costs O(sum of the relabelled rows' degrees) and allocates
-        nothing plan-sized.  The sums are rebuilt instead when more than
-        ``_UPDATE_ROWS`` of the rows were relabelled.  The sums are float64
-        for every graph; on an integer-valued A each is an exact integer,
-        so updated and rebuilt sums agree bit for bit, while on a
-        real-valued A an update rounds differently from a rebuild.
+        putting mass u on each row's label has ``A @ plan = u W``.  Given the
+        sums ``sums`` this method returned for the labels ``old``, updates
+        them in place however many rows moved: A is symmetric, so relabelling
+        j from l to l' moves its CSR row j from column l of ``W`` to l'.  Two
+        scatter-adds move all such rows at once, in O(sum of their degrees)
+        time and transient memory.  On an integer-valued A the float64 sums
+        are exact integers, equal to a fresh product bit for bit.
         """
-        if sums is not None:
-            changed = np.flatnonzero(labels != old)
-            if changed.size <= _UPDATE_ROWS * self.n:
-                indptr, indices, data = self.a.indptr, self.a.indices, self.a.data
-                for j in changed:
-                    row = slice(indptr[j], indptr[j + 1])
-                    np.subtract.at(sums[:, old[j]], indices[row], data[row])
-                    np.add.at(sums[:, labels[j]], indices[row], data[row])
-                return sums
-        onehot = np.zeros((self.n, k))
-        onehot[np.arange(self.n), labels] = 1.0
-        return self.a @ onehot
+        if sums is None:
+            return self.a @ np.eye(k)[labels]
+        changed = np.flatnonzero(labels != old)
+        lo, hi = self.a.indptr[changed], self.a.indptr[changed + 1]
+        degrees = hi - lo
+        # where the relabelled rows' stored entries sit in A's indices and data, row after row
+        entries = np.arange(degrees.sum()) + np.repeat(lo - (np.cumsum(degrees) - degrees), degrees)
+        cells = self.a.indices[entries].astype(np.intp) * k  # column * k passes 2**31 for large n k
+        values = self.a.data[entries]
+        flat = sums.reshape(-1)  # a view: the sums this method returns are C-contiguous
+        np.subtract.at(flat, cells + np.repeat(old[changed], degrees), values)
+        np.add.at(flat, cells + np.repeat(labels[changed], degrees), values)
+        return sums
 
     def pair_summaries(self, t: np.ndarray) -> tuple:
         """``(s, d, q, f1)``: all the objective and the closed-form connectivity read of ``t``.

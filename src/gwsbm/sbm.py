@@ -109,7 +109,7 @@ class ConnectivityMatrix:
             raise ValueError("connectivity matrix must be square and nonempty")
         if not np.isfinite(arr).all():
             raise ValueError("connectivity entries must be finite")
-        if not np.allclose(arr, arr.T, rtol=0.0, atol=0.0):
+        if not np.array_equal(arr, arr.T):
             raise ValueError("connectivity matrix must be symmetric")
         object.__setattr__(self, "raw", _readonly(arr))
         if self.inactive is not None:

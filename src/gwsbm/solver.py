@@ -14,8 +14,9 @@ Three nested loops:
   applies the cost once, to the vertex.  The vertex is one-hot with mass
   ``1/n``, so its ``A @ x`` is ``1/n`` times the neighbour-label sums of
   its labels (:meth:`gwsbm.losses.CostKernel.label_sums`), which each run
-  builds once and then updates over the rows whose label changed:
-  consecutive vertices differ on about 1 % of the rows.
+  builds once and then updates over the rows whose label changed.  In
+  workload-shaped fits 30 % of the updates relabel over 1 % of the rows,
+  3 % over 5 %, and the largest 33 %.
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
   masses.  Each round linearizes the concave penalty at the current plan
   and hands the resulting linear cost to Frank-Wolfe (warm-started), which

@@ -1,4 +1,5 @@
-"""The README's API map names only what its modules define.
+"""The README's API map names only what its modules define, and its examples print
+what it says they print.
 
 Each row of the map's table pairs a module with backticked entries.  An
 entry written as ``name``, ``Class.attr`` or ``name(…, param=)`` must
@@ -10,11 +11,16 @@ count.  ``…`` and prose such as ``gwsbm oracle`` that is not a dotted name
 are skipped.
 """
 
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 import re
+import shlex
 from pathlib import Path
+
+from gwsbm.cli import cli_dispatch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -93,3 +99,43 @@ def test_check_resolves_attribute_entries_on_the_preceding_class():
     # no class to resolve on after a function or an entry that does not resolve
     assert unresolved("gwsbm.solver", "`fw_solve`, `.cost`") == [".cost"]
     assert unresolved("gwsbm.losses", "`Gone`, `.cost`") == ["Gone", ".cost"]
+
+
+def code_blocks(lang: str) -> list[str]:
+    """The README's fenced code blocks in ``lang``, in order."""
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(), flags=re.MULTILINE | re.DOTALL)
+
+
+def run_shell_example(first_word: str) -> tuple[str, list[str]]:
+    """Run the commands of the ``sh`` block that starts with ``gwsbm <first_word>``
+    through ``cli_dispatch``; return what they print and the block's ``# `` lines."""
+    (block,) = [b for b in code_blocks("sh") if b.startswith(f"gwsbm {first_word} ")]
+    lines = block.replace("\\\n", " ").splitlines()
+    out = io.StringIO()
+    for command in (line for line in lines if line.startswith("gwsbm ")):
+        with contextlib.redirect_stdout(out):
+            assert cli_dispatch(shlex.split(command)[1:]) == 0, command
+    return out.getvalue(), [line.removeprefix("# ") for line in lines if line.startswith("# ")]
+
+
+def test_quick_start_prints_the_documented_values():
+    (block,) = [b for b in code_blocks("python") if "bcd_fit(" in b]
+    expected = re.findall(r"# -> (.*)", block)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README quick start", "exec"), {})
+    assert expected == ["3", "1.0"]
+    assert out.getvalue().splitlines()[:2] == expected
+
+
+def test_sample_and_fit_example_prints_the_documented_lines(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out, expected = run_shell_example("sample")
+    assert expected[-1] == "fit: k_hat=3 final_loss=0.305819 -> fit"
+    assert out.splitlines() == expected
+
+
+def test_oracle_example_prints_the_documented_lines():
+    out, expected = run_shell_example("oracle")
+    assert len(expected) == 4
+    assert out.splitlines() == expected

@@ -1,17 +1,23 @@
 """Experiment driver, CSV plumbing, and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gwsbm import (
+    LOSS_KINDS,
     ExperimentConfig,
     ari,
     auto_sparsity,
@@ -487,6 +493,46 @@ class TestCli:
         report = json.loads((outdir / "report.json").read_text())
         assert (report["k_hat"], report["degenerate"]) == (k_hat, degenerate)
         assert math.isfinite(report["final_loss"])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fit_on_any_tiny_graph_reports_or_refuses_k(self, data):
+        """Random tiny graphs (n 1-7, empty, star, complete, random or with isolated
+        nodes), any --k in 0..n+1, every loss and seed 0-4: ``gwsbm fit`` writes a
+        consistent report exactly when 1 <= k <= n, else exits 1; it never exits 2."""
+        n = data.draw(st.integers(1, 7), label="n")
+        kind = data.draw(st.sampled_from(["empty", "star", "complete", "random", "isolated"]))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if kind == "star":
+            pairs = [(0, j) for j in range(1, n)]
+        elif kind in ("random", "isolated"):
+            # "isolated": edges only among the first m nodes, the rest stay alone
+            m = data.draw(st.integers(1, n), label="m") if kind == "isolated" else n
+            pairs = [p for p in pairs if p[1] < m and data.draw(st.booleans())]
+        elif kind == "empty":
+            pairs = []
+        k = data.draw(st.integers(0, n + 1), label="k")
+        loss = data.draw(st.sampled_from(LOSS_KINDS), label="loss")
+        seed = data.draw(st.integers(0, 4), label="seed")
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, outdir = Path(tmp) / "g.txt", Path(tmp) / "fit"
+            graph.write_text("\n".join([str(n)] + [f"{i} {j}" for i, j in pairs]) + "\n")
+            argv = ["fit", "--graph", str(graph), "--k", str(k), "--loss", loss,
+                    "--seed", str(seed), "--out", str(outdir)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli_dispatch(argv)
+            if not 1 <= k <= n:
+                assert code == 1
+                assert "k must satisfy 1 <= k <= n" in err.getvalue()
+                return
+            assert code == 0, err.getvalue()
+            report = json.loads((outdir / "report.json").read_text())
+            assert 1 <= report["k_hat"] <= k
+            if not pairs:
+                assert report["degenerate"]
+            assert len((outdir / "labels.csv").read_text().splitlines()) == n
+            assert read_matrix_csv(outdir / "theta.csv").shape == (k, k)
 
     def test_fit_failed_report_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
         """A report write that fails midway leaves no report.json and no temp file."""

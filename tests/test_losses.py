@@ -1,7 +1,6 @@
 """Loss decompositions, the fast cost kernel, and closed-form connectivity."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +20,11 @@ from gwsbm import (
     make_loss,
     srgw_objective,
 )
-from gwsbm import losses
 from gwsbm.losses import DENOMINATOR_FLOOR
 from gwsbm.sbm import block_densities, build_scenario, balanced_proportions, sample_graph
 from gwsbm.initplans import labels_to_plan
-from gwsbm.solver import penalty_linearization
+from gwsbm.baselines import restarted_fw_minimum
+from gwsbm.solver import fw_solve, mm_solve, penalty_linearization
 
 
 def test_frozen_loss_values():
@@ -202,29 +201,28 @@ def test_objective_matches_quadruple_loop_for_any_nonnegative_plan(instance):
     assert srgw_objective(adj, t, conn, loss) == got
 
 
-@given(instance=oracles.relabelings(), always_update=st.booleans())
+@given(instance=oracles.relabelings())
 @settings(max_examples=200, deadline=None)
-def test_label_sums_track_relabelings_and_price_the_vertex(instance, always_update):
+def test_label_sums_track_relabelings_and_price_the_vertex(instance):
     """Updated neighbour-label sums equal a fresh ``A @ onehot``, bitwise on 0/1 and
-    count graphs and to 1e-12 of each row's weight on real-weighted ones, and the
-    vertex cost built from them is ``cost(x)`` to 1e-15 of the cost's magnitude."""
+    count graphs and to 1e-12 of each row's weight on real-weighted ones, whatever
+    share of the rows moved, and the vertex cost built from them is ``cost(x)`` to
+    1e-15 of the cost's magnitude."""
     loss, adj, conn, chain = instance
     kernel = CostKernel(adj, loss)
     theta = loss.prepare_theta(conn)
     n, k = adj.n, conn.k
     exact = np.array_equal(adj.entries, np.round(adj.entries))
     scale = np.abs(adj.entries).sum(axis=1, keepdims=True)
-    share = 1.0 if always_update else losses._UPDATE_ROWS  # 1.0: never rebuild
-    with mock.patch.object(losses, "_UPDATE_ROWS", share):
-        sums = kernel.label_sums(chain[0], k)
-        for old, labels in zip(chain, chain[1:]):
-            sums = kernel.label_sums(labels, k, sums, old)
-            onehot = np.eye(k)[labels]
-            fresh = adj.entries @ onehot
-            if exact:
-                assert np.array_equal(sums, fresh)
-            else:
-                assert np.all(np.abs(sums - fresh) <= 1e-12 * scale)
+    sums = kernel.label_sums(chain[0], k)
+    for old, labels in zip(chain, chain[1:]):
+        sums = kernel.label_sums(labels, k, sums, old)
+        onehot = np.eye(k)[labels]
+        fresh = adj.entries @ onehot
+        if exact:
+            assert np.array_equal(sums, fresh)
+        else:
+            assert np.all(np.abs(sums - fresh) <= 1e-12 * scale)
     x = onehot / n
     vertex = kernel.assemble_cost(x, (1.0 / n) * sums, theta)
     bound = 1e-15 * oracles.cost_magnitude(adj.entries, x, theta, loss)
@@ -256,6 +254,24 @@ def test_cost_rejects_out_of_domain_connectivity():
     bad = np.array([[1.5, 0.2], [0.2, 0.5]])  # raw array, above the Bernoulli domain
     with pytest.raises(ValueError):
         cost_application(adj, plan, bad, make_loss("bernoulli_nll"))
+
+
+def test_solvers_and_objective_refuse_asymmetric_connectivity():
+    """Frank-Wolfe's gradient 2 cost and its line search hold for symmetric theta
+    only: on this instance a plain solve once tracked 0.3458 for an iterate whose
+    objective (quadruple loop) is 0.4820."""
+    adj = oracles.random_binary_graph(np.random.default_rng(0), 6)
+    loss = make_loss("bernoulli_nll")
+    theta = np.array([[0.7, 0.1], [0.4, 0.6]])
+    plan = TransportPlan(np.full((6, 2), 1 / 12))
+    for call in (
+        lambda: fw_solve(adj, loss, theta, plan),
+        lambda: mm_solve(adj, loss, theta, plan, sparsity=0.1),
+        lambda: restarted_fw_minimum(adj, loss, theta),
+        lambda: srgw_objective(adj, plan, theta, loss),
+    ):
+        with pytest.raises(ValueError, match="connectivity must be symmetric"):
+            call()
 
 
 def test_objective_single_edge_uniform_plan():

@@ -286,6 +286,14 @@ class TestGraphIO:
         graphio.write_edge_list(AdjacencyMatrix(a), path)
         assert path.read_text() == "3\n0 2\n"
 
+    def test_edge_list_writer_refuses_weighted_graphs(self, tmp_path):
+        """The format has no weights: writing 2.5 as an edge read back as 1.0 would lose it."""
+        a = np.array([[0.0, 2.5, 0.0], [2.5, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        path = tmp_path / "weighted.txt"
+        with pytest.raises(ValueError, match="weighted"):
+            graphio.write_edge_list(AdjacencyMatrix(a), path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_edge_list_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n2 1\n")

@@ -232,6 +232,38 @@ class TestFrankWolfe:
             # the last iteration is a rejected (zero) step
             assert run["steps"] - 1 <= iterations <= run["steps"]
 
+    def test_label_sums_are_built_once_per_run(self, monkeypatch):
+        """From a random hard start, Frank-Wolfe's first steps relabel a third or
+        more of the rows; A still meets an n x k operand only twice in the run:
+        the start plan's cost and the first vertex's neighbour-label sums."""
+        conn = build_scenario("assortative", 3, 0.2, 0.03)
+        adj, _ = sample_graph(conn, balanced_proportions(3), 200, seed=0)
+        loss = make_loss("bernoulli_nll")
+        kernel = CostKernel(adj, loss)
+        n, k = adj.n, 3
+        t0 = labels_to_plan(Labels(np.random.default_rng(0).integers(0, k, n), k)).matrix
+        products, shares = [], []
+        real_matmul, real_sums = type(kernel.a).__matmul__, CostKernel.label_sums
+
+        def matmul(self, other):
+            if np.shape(other) == (n, k):
+                products.append(np.array(other))
+            return real_matmul(self, other)
+
+        def label_sums(self, labels, k, sums=None, old=None):
+            if sums is not None:
+                shares.append(np.mean(labels != old))
+            return real_sums(self, labels, k, sums, old)
+
+        monkeypatch.setattr(type(kernel.a), "__matmul__", matmul)
+        monkeypatch.setattr(CostKernel, "label_sums", label_sums)
+        t = solver._fw_core(kernel, loss.prepare_theta(conn), t0, None)
+        assert max(shares) > 0.3
+        assert len(products) == 2
+        assert np.array_equal(products[0], t0)
+        assert np.array_equal(np.count_nonzero(products[1], axis=1), np.ones(n))
+        assert not np.array_equal(t, t0)
+
 
 class TestMajorizeMinimize:
     def test_zero_penalty_equals_plain_solve(self):
