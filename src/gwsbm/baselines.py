@@ -302,6 +302,6 @@ def restarted_fw_minimum(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> flo
     best = np.inf
     for startv in range(0, count, _CHUNK):
         for z in _assignment_digits(startv, min(startv + _CHUNK, count), n, k):
-            t = _fw_core(kernel, theta, labels_to_plan(Labels(z, k)).matrix, None)
+            t = _fw_core(kernel, theta, labels_to_plan(Labels(z, k)).matrix, np.zeros(k))
             best = min(best, kernel.objective(TransportPlan(t).matrix, theta))
     return best

@@ -182,7 +182,8 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
             return _cmd_experiment(args)
         if args.command == "selftest":
             return 0 if run_selftest() else 2
-    except (ValueError, KeyError, TypeError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -81,6 +81,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"method {self.method!r} fits loss {METHOD_LOSS[self.method]!r}, not {self.loss!r}"
             )
+        counts = [("n", self.n), ("k_true", self.k_true), ("k_search", self.k_search)]
+        counts += [(f"seeds[{i}]", v) for i, v in enumerate(self.seeds)]
+        counts += [(f"n_grid[{i}]", v) for i, v in enumerate(self.n_grid or ())]
+        for name, value in counts:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2 or self.k_true < 1 or self.k_search < 1:
             raise ValueError("n, k_true and k_search must be positive (n >= 2)")
         if not self.p_in_grid:
@@ -367,5 +373,5 @@ def run_consistency(config: ExperimentConfig, jobs: int | None = None) -> list[C
     config.validate()
     if not config.n_grid:
         raise ValueError("consistency experiment needs n_grid")
-    cells = [(f"ladder_n{n}", _ladder_cell, (int(n),)) for n in config.n_grid]
+    cells = [(f"ladder_n{n}", _ladder_cell, (n,)) for n in config.n_grid]
     return _run_cells(config, ConsistencyRow, cells, jobs)

@@ -15,12 +15,11 @@ diagonal (i == j) terms those products include only the ``f2`` part is
 nonzero, and one exact correction removes it.  ``f1(0) = 0`` also means
 ``f1(A)`` lives on A's nonzero entries, so :class:`CostKernel` holds A and
 ``f1(A)`` as sparse CSR arrays and one cost application takes
-O(|E| k + n k^2) time for a graph with |E| stored entries.  The products
-are assembled in one place (:meth:`CostKernel.assemble_cost`) from a given
-``A @ T``: for a one-hot plan of mass u per row, such as a Frank-Wolfe
-vertex, that product is u times the neighbour-label sums
-(:meth:`CostKernel.label_sums`), which a caller builds once and then
-updates over the relabelled rows alone.
+O(|E| k + n k^2) time for a graph with |E| stored entries.
+:meth:`CostKernel.cost` also takes ``A @ T`` when the caller has it: for a
+one-hot plan of mass u per row, such as a Frank-Wolfe vertex, that product
+is u times the neighbour-label sums (:meth:`CostKernel.label_sums`), which a
+caller builds once and then updates over the relabelled rows alone.
 
 The objective ``<cost(T), T>`` and the connectivity minimizing it at a
 fixed plan read the plan only through its pair summaries
@@ -219,7 +218,7 @@ class CostKernel:
     entries where it does not vanish, without copying A, so it is empty
     for the Bernoulli and exponential losses.  Each :meth:`cost` call then
     costs O(|E| k + n k^2): one sparse ``A @ T`` plus products with the
-    k x k connectivity.  :meth:`assemble_cost` takes ``A @ T`` as given; for
+    k x k connectivity, or only the latter when ``A @ T`` is given; for
     one-hot plans it is a multiple of :meth:`label_sums`, which an update
     carries to the next labels in O(sum of the relabelled rows' degrees).
     """
@@ -236,16 +235,15 @@ class CostKernel:
         indptr = np.searchsorted(kept, self.a.indptr)
         self.fa = sparse.csr_array((f1[kept], self.a.indices[kept], indptr), shape=self.a.shape)
 
-    def cost(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def cost(self, t: np.ndarray, theta: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
         """Apply the cost tensor to a plan, excluding i == j terms exactly.
 
-        The map is linear in ``t`` and, with A and ``theta`` symmetric,
-        self-adjoint: ``<cost(u), v> == <cost(v), u>``.
+        ``at`` is ``A @ t`` when the caller has it, however formed.  The map is
+        linear in ``t`` and, with A and ``theta`` symmetric, self-adjoint:
+        ``<cost(u), v> == <cost(v), u>``.
         """
-        return self.assemble_cost(t, self.a @ t, theta)
-
-    def assemble_cost(self, t: np.ndarray, at: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """:meth:`cost` of ``t`` given its product ``at = A @ t``, however that was formed."""
+        if at is None:
+            at = self.a @ t
         f2t = np.asarray(self.loss.f2(theta), dtype=np.float64)
         h2t = np.asarray(self.loss.h2(theta), dtype=np.float64)
         rows = t.sum(axis=1)

@@ -10,7 +10,7 @@ Three nested loops:
   cost of the current plan ``t``, ``mx`` that of the oracle's vertex ``x``
   and ``d = x - t``, the objective at ``t + gamma d`` is
   ``f0 + b gamma + a gamma^2`` with ``a = <mx - m, d>`` and
-  ``b = <2 m (+ linear), d>``, the gradient along ``d``.  Each iteration
+  ``b = <2 m + prices, d>``, the gradient along ``d``.  Each iteration
   applies the cost once, to the vertex.  The vertex is one-hot with mass
   ``1/n``, so its ``A @ x`` is ``1/n`` times the neighbour-label sums of
   its labels (:meth:`gwsbm.losses.CostKernel.label_sums`), which each run
@@ -18,9 +18,9 @@ Three nested loops:
   workload-shaped fits 30 % of the updates relabel over 1 % of the rows,
   3 % over 5 %, and the largest 33 %.
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
-  masses.  Each round linearizes the concave penalty at the current plan
-  and hands the resulting linear cost to Frank-Wolfe (warm-started), which
-  makes the true penalized objective non-increasing.
+  masses.  Each round hands Frank-Wolfe (warm-started) the penalty's tangent
+  at the current plan, one price per cluster, which makes the true penalized
+  objective non-increasing; at zero sparsity one round is the plain solve.
 * :func:`bcd_fit` alternates closed-form connectivity updates with
   :func:`mm_solve` until the penalized objective stalls.  When the
   sparsity penalty is active it also proposes whole-cluster merges after
@@ -110,16 +110,14 @@ class FitResult:
 
 
 def penalty_linearization(plan, sparsity: float) -> np.ndarray:
-    """Row-constant tangent cost of the penalty at the current plan.
+    """Tangent of the penalty at the current plan: one price per cluster.
 
-    Column k of the result equals ``sparsity / (2 sqrt(max(q_k, MASS_FLOOR)))``,
-    the exact gradient of the penalty wherever masses exceed the floor.
+    Entry k equals ``sparsity / (2 sqrt(max(q_k, MASS_FLOOR)))``, the exact
+    gradient of the penalty in column k wherever masses exceed the floor.
     Nearly dead clusters therefore price any returning mass prohibitively.
     """
-    t = _plan_matrix(plan)
-    q = np.maximum(t.sum(axis=0), MASS_FLOOR)
-    row = _check_sparsity(sparsity) / (2.0 * np.sqrt(q))
-    return np.broadcast_to(row, t.shape).copy()
+    q = np.maximum(_plan_matrix(plan).sum(axis=0), MASS_FLOOR)
+    return _check_sparsity(sparsity) / (2.0 * np.sqrt(q))
 
 
 def _merge_rowcol(mat: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -199,10 +197,10 @@ def _fw_core(
     kernel: CostKernel,
     theta: np.ndarray,
     t0: np.ndarray,
-    linear: np.ndarray | None,
+    prices: np.ndarray,
     on_iterate=None,
 ) -> np.ndarray:
-    """Frank-Wolfe on <cost(t), t> + <linear, t> over row-constrained plans.
+    """Frank-Wolfe on <cost(t), t> + <prices, column masses of t> over row-constrained plans.
 
     Applies the cost to ``t0`` and then once per iteration, to the vertex,
     through neighbour-label sums carried from one vertex to the next.
@@ -213,24 +211,21 @@ def _fw_core(
     n, k = t0.shape
     t = t0
     m = kernel.cost(t, theta)
-    obj = float(np.vdot(m, t))
-    if linear is not None:
-        obj += float(np.vdot(linear, t))
-    _check_finite(obj, "fw_solve")
+    obj = _check_finite(float(np.vdot(m, t)) + float(prices @ t.sum(axis=0)), "fw_solve")
     if on_iterate is not None:
         on_iterate(t, obj)
     rows = np.arange(n)
     unit = 1.0 / n
     cols = sums = None
     for _ in range(FW_MAX_ITERS):
-        grad = 2.0 * m if linear is None else 2.0 * m + linear
+        grad = 2.0 * m + prices
         cols, old = np.argmin(grad, axis=1), cols
         x = np.zeros_like(t)
         x[rows, cols] = unit
         # A @ x is unit times the neighbour-label sums, which the last vertex's
         # sums give after an update over the rows whose label changed
         sums = kernel.label_sums(cols, k, sums, old)
-        mx = kernel.assemble_cost(x, unit * sums, theta)
+        mx = kernel.cost(x, theta, unit * sums)
         # the objective along t + gamma d is exactly f0 + b gamma + a gamma^2:
         # the cost is linear in the plan and self-adjoint, so cost(d) = mx - m
         d = x - t
@@ -274,12 +269,9 @@ def _mm_core(
     on_iterate=None,
 ) -> tuple[np.ndarray, tuple]:
     """Majorize-minimize from ``t0`` (summaries ``summ0``); returns the plan and its summaries."""
-    if sparsity == 0.0:
-        t = _fw_core(kernel, theta, t0, None, on_iterate)
-        return t, summ0 if t is t0 else kernel.pair_summaries(t)
     t, summ = t0, summ0
     pen = _check_finite(summary_objective(summ, theta, kernel.loss, sparsity), "mm_solve")
-    for _ in range(MM_MAX_ITERS):
+    for _ in range(MM_MAX_ITERS if sparsity else 1):  # zero prices: one plain Frank-Wolfe run
         moved = _fw_core(kernel, theta, t, penalty_linearization(t, sparsity), on_iterate)
         if moved is t:
             break
@@ -309,8 +301,8 @@ def mm_solve(
     single plain Frank-Wolfe solve.
 
     ``on_iterate(t, obj)`` sees the start and each accepted iterate of
-    every Frank-Wolfe run with that run's own objective, the round's linear
-    term (:func:`penalty_linearization`) included: never a penalized
+    every Frank-Wolfe run with that run's own objective, the round's tangent
+    prices (:func:`penalty_linearization`) included: never a penalized
     objective or a merge score.
     """
     sparsity = _check_sparsity(sparsity)

@@ -91,7 +91,7 @@ def test_check_sees_a_removed_parameter_or_method():
 
 def test_check_resolves_attribute_entries_on_the_preceding_class():
     # methods after a method of the class, with prose between them
-    kernel = "`CostKernel.cost`, `.assemble_cost` from a given `A·T`, `.label_sums`, `.gone`"
+    kernel = "`CostKernel.cost(…, at=)` from a given `A·T`, `.label_sums`, `.gone`"
     assert unresolved("gwsbm.losses", kernel) == [".gone"]
     # a dataclass field, a property and a method after the class itself
     fields = "`AdjacencyMatrix` (`.csr`, `.entries`, `.edge_count()`, `.gone`)"

@@ -21,6 +21,7 @@ from gwsbm import (
     ExperimentConfig,
     ari,
     auto_sparsity,
+    read_edge_list,
     read_labels,
     read_matrix_csv,
     run_ari_sweep,
@@ -39,6 +40,7 @@ from gwsbm.harness import (
     _run_cells,
 )
 from gwsbm.losses import TransportPlan
+from gwsbm.sbm import PROPORTION_KINDS, SCENARIO_KINDS
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -118,6 +120,30 @@ class TestConfig:
         ):
             with pytest.raises(ValueError):
                 tiny_config(tmp_path, **bad).validate()
+
+    @pytest.mark.parametrize(
+        "kind, field, value, name",
+        [
+            ("ari-sweep", "n", 12.0, "n"),
+            ("ari-sweep", "n", "12", "n"),
+            ("ari-sweep", "k_true", True, "k_true"),
+            ("ari-sweep", "k_search", 3.0, "k_search"),
+            ("ari-sweep", "seeds", [True], "seeds[0]"),
+            ("ari-sweep", "seeds", [0, 1.0], "seeds[1]"),
+            ("consistency", "n_grid", [12, 16.0], "n_grid[1]"),
+            ("consistency", "n_grid", [False], "n_grid[0]"),
+        ],
+    )
+    def test_count_fields_must_be_integers(self, tmp_path, capsys, kind, field, value, name):
+        """A float or boolean count is refused with exit 1 before any shard or stamp is
+        written (a float ``k_search`` used to reach ARPACK, a ``true`` seed the CSV)."""
+        config = tiny_config(tmp_path, n=12, k_search=3, p_in_grid=[0.6], p_out=0.1,
+                             seeds=[0], n_grid=[12])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config.to_dict(), field: value}))
+        assert cli_dispatch(["experiment", kind, "--config", str(path)]) == 1
+        assert f"error: {name} must be an integer" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_validation_accepts_method_loss_pairs(self, tmp_path):
         for method, loss in (("srgw_nll", "bernoulli_nll"), ("srgw_l2", "squared"),
@@ -568,6 +594,113 @@ class TestCli:
         assert cli_dispatch(argv) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert sorted(p.name for p in outdir.iterdir()) == ["labels.csv", "theta.csv"]
+
+    @pytest.mark.parametrize("case", [
+        "sample to a directory", "sample under a file", "fit a directory",
+        "fit into a file", "config is a directory", "output_path is a directory",
+    ])
+    def test_unusable_paths_exit_1(self, tmp_path, capsys, case):
+        """A directory where a file goes, or a file where a directory goes, is invalid
+        input (exit 1), like a missing path, not a runtime failure."""
+        graph, afile, adir = tmp_path / "g.txt", tmp_path / "file", tmp_path / "dir"
+        graph.write_text(self.STAR6)
+        afile.write_text("")
+        adir.mkdir()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            tiny_config(tmp_path, n=12, seeds=[0], output_path=str(adir)).to_dict()
+        ))
+        sample = ["sample", "--n", "6", "--k", "2", "--p-in", "0.5", "--p-out", "0.1", "--out"]
+        argv = {
+            "sample to a directory": sample + [str(adir)],
+            "sample under a file": sample + [str(afile / "g.txt")],
+            "fit a directory": ["fit", "--graph", str(adir), "--k", "2", "--out", str(tmp_path)],
+            "fit into a file": ["fit", "--graph", str(graph), "--k", "2", "--out", str(afile)],
+            "config is a directory": ["experiment", "ari-sweep", "--config", str(adir)],
+            "output_path is a directory": ["experiment", "ari-sweep", "--config", str(config)],
+        }[case]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sample_writes_a_consistent_graph_or_nothing(self, data):
+        """Any n in -1..8, k in -1..10, rates valid or not (0, 1, nan, inf, negative,
+        subnormal-sized, not a number), every scenario and proportion kind, seeds
+        0-4: ``gwsbm sample`` writes a graph and labels that agree with its own
+        report (exit 0) or writes nothing (exit 1); it never exits 2."""
+        rates = ["0", "1", "0.5", "0.1", "nan", "inf", "-0.2", "1e-300", "0.999999", "abc"]
+        n = data.draw(st.integers(-1, 8), label="n")
+        k = data.draw(st.integers(-1, 10), label="k")
+        argv = [
+            "sample", "--n", str(n), "--k", str(k),
+            "--p-in", data.draw(st.sampled_from(rates), label="p_in"),
+            "--p-out", data.draw(st.sampled_from(rates), label="p_out"),
+            "--scenario", data.draw(st.sampled_from(SCENARIO_KINDS), label="scenario"),
+            "--proportions", data.draw(st.sampled_from(PROPORTION_KINDS), label="proportions"),
+            "--seed", str(data.draw(st.integers(0, 4), label="seed")),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, truth = Path(tmp) / "g.txt", Path(tmp) / "truth.csv"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_dispatch(argv + ["--out", str(graph), "--labels-out", str(truth)])
+            if code == 1:
+                assert os.listdir(tmp) == []
+                return
+            assert code == 0, err.getvalue()
+            adj = read_edge_list(graph)
+            assert adj.n == n
+            assert out.getvalue() == f"wrote {graph}: n={n} edges={adj.edge_count()}\n"
+            labels = read_labels(truth).values
+            assert labels.shape == (n,)
+            assert labels.min() >= 0 and labels.max() < k
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_experiment_on_any_mutated_config_writes_a_csv_or_refuses(self, data):
+        """One to three fields of a tiny valid config set to bad values (wrong types,
+        empty or repeated grids, out-of-range rates, unknown kinds), for every
+        experiment kind: the run writes an ``out.csv`` that reads back (exit 0) or
+        refuses the config (exit 1); it never exits 2."""
+        kind = data.draw(st.sampled_from(["ari-sweep", "lambda-sweep", "consistency"]))
+        bad = {
+            "scenario": ["no_such_scenario", 3, None],
+            "n": [-1, 0, 1, 2.0, True, "12", None],
+            "k_true": [-1, 0, 13, 2.0, False, "2"],
+            "k_search": [-1, 0, 13, 3.0, True, "3"],
+            "p_out": [-0.2, 0.0, 0.7, 1.0, float("nan"), "0.1", None],
+            "p_in_grid": [[], [0.6, 0.6], [1.5], [0.0], ["0.6"], 0.6, "abc"],
+            "seeds": [[], [0, 0], [-1], [0.5], [True], 0, "ab"],
+            "loss": ["no_such_loss", "squared", None],
+            "method": ["no_such_method", "srgw_l2", "spectral_only", 1],
+            "lambda": [-1.0, float("inf"), "half", [0.1], True],
+            "lambda_grid": [[], [0.1, 0.1], [0.1, 0.0], [-1.0], ["x"], 0.1],
+            "proportions": ["no_such_proportions", 0],
+            "n_grid": [[], [12, 12], [1], [12.0], [True], 12],
+            "no_such_field": [1],
+        }
+        fields = data.draw(st.lists(st.sampled_from(sorted(bad)), min_size=1, max_size=3,
+                                    unique=True), label="fields")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            config = {
+                "scenario": "assortative", "n": 12, "k_true": 2, "k_search": 3,
+                "p_out": 0.1, "p_in_grid": [0.6], "seeds": [0], "loss": "bernoulli_nll",
+                "method": "srgw_nll", "output_path": str(out), "lambda": "auto",
+                "lambda_grid": [0.0, 0.1], "n_grid": [12],
+            }
+            for field in fields:
+                config[field] = data.draw(st.sampled_from(bad[field]), label=field)
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli_dispatch(["experiment", kind, "--config", str(path)])
+            assert code in (0, 1), err.getvalue()
+            if code == 0:
+                row_type = ConsistencyRow if kind == "consistency" else ResultRow
+                assert _parse_rows(out, row_type)
 
     def test_oracle_certifies_tiny_instance(self, capsys):
         assert cli_dispatch(["oracle", "--n", "6", "--k", "2", "--seed", "3"]) == 0

@@ -165,7 +165,7 @@ class TestLineSearchAlgebra:
             assert vu == pytest.approx(uv, rel=1e-12, abs=0.0)
 
     def test_segment_coefficients_match_the_objective(self):
-        """f0 + b g + a g^2 with a = <mx - m, d>, b = 2<m, d> (+ <linear, d>)."""
+        """f0 + b g + a g^2 with a = <mx - m, d>, b = 2<m, d> + <prices, column sums of d>."""
         rng = np.random.default_rng(43)
         n, k = 15, 4
         for kind in LOSS_KINDS:
@@ -175,8 +175,8 @@ class TestLineSearchAlgebra:
             x[np.arange(n), rng.integers(0, k, n)] = 1.0 / n
             d = x - t
             m, mx = kernel.cost(t, theta), kernel.cost(x, theta)
-            for linear in (None, penalty_linearization(t, 0.05)):
-                lin = np.zeros((n, k)) if linear is None else linear
+            for prices in (np.zeros(k), penalty_linearization(t, 0.05)):
+                lin = np.broadcast_to(prices, (n, k))
                 f0 = float(np.vdot(m, t)) + float(np.vdot(lin, t))
                 a = float(np.vdot(mx - m, d))
                 b = 2.0 * float(np.vdot(m, d)) + float(np.vdot(lin, d))
@@ -224,7 +224,7 @@ def test_label_sums_track_relabelings_and_price_the_vertex(instance):
         else:
             assert np.all(np.abs(sums - fresh) <= 1e-12 * scale)
     x = onehot / n
-    vertex = kernel.assemble_cost(x, (1.0 / n) * sums, theta)
+    vertex = kernel.cost(x, theta, (1.0 / n) * sums)
     bound = 1e-15 * oracles.cost_magnitude(adj.entries, x, theta, loss)
     assert np.all(np.abs(vertex - kernel.cost(x, theta)) <= bound)
 

@@ -56,8 +56,9 @@ def test_penalty_linearization_frozen():
     t[0, 0] = 0.25
     t[1:, 1] = 0.25  # masses (0.25, 0.75)
     r = penalty_linearization(TransportPlan(t), 1.0)
-    np.testing.assert_allclose(r[:, 0], 1.0, atol=1e-12)
-    np.testing.assert_allclose(r[:, 1], 0.57735027, atol=1e-8)
+    assert r.shape == (2,)
+    np.testing.assert_allclose(r[0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(r[1], 0.57735027, atol=1e-8)
 
 
 def test_penalty_linearization_matches_finite_difference():
@@ -68,7 +69,7 @@ def test_penalty_linearization_matches_finite_difference():
     g = oracles.central_gradient(
         lambda t: lam * float(np.sqrt(t.sum(axis=0)).sum()), plan.matrix.copy(), step=1e-7
     )
-    np.testing.assert_allclose(r, g, atol=1e-4)
+    np.testing.assert_allclose(np.broadcast_to(r, g.shape), g, atol=1e-4)
 
 
 def test_penalty_linearization_edge_cases():
@@ -78,7 +79,7 @@ def test_penalty_linearization_edge_cases():
         penalty_linearization(plan, -1.0)
     dead = labels_to_plan(Labels(np.zeros(4, dtype=np.int64), 1), k=2)
     r = penalty_linearization(dead, 2.0)
-    assert r[0, 1] == pytest.approx(2.0 / (2.0 * 1e-8))  # floored at 1e-16 mass
+    assert r[1] == pytest.approx(2.0 / (2.0 * 1e-8))  # floored at 1e-16 mass
 
 
 class TestFrankWolfe:
@@ -161,22 +162,13 @@ class TestFrankWolfe:
         conn = build_scenario("assortative", 3, 0.2, 0.03)
         adj, _ = sample_graph(conn, balanced_proportions(3), 600, seed=0)
         stack, runs = [], []
-        real_cost, real_assemble = CostKernel.cost, CostKernel.assemble_cost
-        real_sums, real_objective = CostKernel.label_sums, CostKernel.objective
-        real_core = solver._fw_core
+        real_cost, real_sums = CostKernel.cost, CostKernel.label_sums
+        real_objective, real_core = CostKernel.objective, solver._fw_core
 
-        def cost(self, t, theta):
-            if not stack:
-                return real_cost(self, t, theta)
-            stack[-1]["calls"].append(("cost", np.array(t)))
-            stack[-1]["in_cost"] = True
-            try:
-                return real_cost(self, t, theta)
-            finally:
-                stack[-1]["in_cost"] = False
-
-        def assemble_cost(self, t, at, theta):
-            if stack and not stack[-1]["in_cost"]:
+        def cost(self, t, theta, at=None):
+            if stack and at is None:
+                stack[-1]["calls"].append(("cost", np.array(t)))
+            elif stack:
                 # a vertex cost: A @ x from the label sums is the sparse product up to
                 # the rounding of a sum of deg(i) terms, plus one for scaling the sums
                 assert stack[-1]["calls"][-1][0] == "sums"
@@ -184,7 +176,7 @@ class TestFrankWolfe:
                 bound = terms * np.finfo(float).eps * (abs(self.a) @ t)
                 assert np.all(np.abs(at - self.a @ t) <= bound)
                 stack[-1]["calls"].append(("vertex", np.array(t)))
-            return real_assemble(self, t, at, theta)
+            return real_cost(self, t, theta, at)
 
         def label_sums(self, labels, k, sums=None, old=None):
             if stack:
@@ -196,20 +188,19 @@ class TestFrankWolfe:
                 stack[-1]["calls"].append(("objective", None))
             return real_objective(self, t, theta)
 
-        def fw_core(kernel, theta, t0, linear, on_iterate=None):
-            run = {"t0": np.array(t0), "calls": [], "steps": 0, "in_cost": False}
+        def fw_core(kernel, theta, t0, prices, on_iterate=None):
+            run = {"t0": np.array(t0), "calls": [], "steps": 0}
 
             def count_step(t, obj):
                 run["steps"] += 1
 
             stack.append(run)
             try:
-                return real_core(kernel, theta, t0, linear, count_step)
+                return real_core(kernel, theta, t0, prices, count_step)
             finally:
                 runs.append(stack.pop())
 
         monkeypatch.setattr(CostKernel, "cost", cost)
-        monkeypatch.setattr(CostKernel, "assemble_cost", assemble_cost)
         monkeypatch.setattr(CostKernel, "label_sums", label_sums)
         monkeypatch.setattr(CostKernel, "objective", objective)
         monkeypatch.setattr(solver, "_fw_core", fw_core)
@@ -257,12 +248,42 @@ class TestFrankWolfe:
 
         monkeypatch.setattr(type(kernel.a), "__matmul__", matmul)
         monkeypatch.setattr(CostKernel, "label_sums", label_sums)
-        t = solver._fw_core(kernel, loss.prepare_theta(conn), t0, None)
+        t = solver._fw_core(kernel, loss.prepare_theta(conn), t0, np.zeros(k))
         assert max(shares) > 0.3
         assert len(products) == 2
         assert np.array_equal(products[0], t0)
         assert np.array_equal(np.count_nonzero(products[1], axis=1), np.ones(n))
         assert not np.array_equal(t, t0)
+
+    def test_every_run_takes_one_price_per_cluster(self, monkeypatch):
+        """Frank-Wolfe's linear term is k cluster prices: zeros in ``fw_solve``, and in
+        each majorize-minimize round the penalty's tangent at that round's start."""
+        conn = build_scenario("assortative", 3, 0.2, 0.03)
+        adj, _ = sample_graph(conn, balanced_proportions(3), 200, seed=0)
+        loss = make_loss("bernoulli_nll")
+        k, lam = 6, 6 / 400
+        plan0 = spectral_init(adj, k, seed=0)
+        calls, real_core = [], solver._fw_core
+
+        def fw_core(kernel, theta, t0, prices, on_iterate=None):
+            calls.append((np.array(t0), prices))
+            return real_core(kernel, theta, t0, prices, on_iterate)
+
+        def check_prices(prices):
+            assert isinstance(prices, np.ndarray)
+            assert prices.dtype == np.float64 and prices.shape == (k,)
+
+        monkeypatch.setattr(solver, "_fw_core", fw_core)
+        bcd_fit(adj, loss, plan0, sparsity=lam)
+        assert len(calls) > 1
+        for t0, prices in calls:
+            check_prices(prices)
+            assert np.array_equal(prices, penalty_linearization(t0, lam))
+        calls.clear()
+        fw_solve(adj, loss, closed_form_connectivity(adj, plan0, loss), plan0)
+        (_, prices), = calls
+        check_prices(prices)
+        assert not prices.any()
 
 
 class TestMajorizeMinimize:
