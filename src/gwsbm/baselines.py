@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initplans import labels_to_plan
-from .losses import CompositeLoss, CostKernel, TransportPlan, make_loss
+from .losses import CompositeLoss, CostKernel, TransportPlan, _checked_kernel, make_loss
 from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
 from .solver import _fw_core, _stalled, elbo_value
 
@@ -77,15 +77,12 @@ def vem_fit(
         raise ValueError("responsibilities must be n x k")
     if np.any(resp < 0.0) or np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-8:
         raise ValueError("responsibility rows must be probability vectors")
-    loss = make_loss("bernoulli_nll")
-    kernel = CostKernel(adj, loss)
-    if resp.shape[0] != kernel.n:
-        raise ValueError("responsibilities and adjacency disagree on n")
+    kernel = _checked_kernel(adj, make_loss("bernoulli_nll"), resp)[0]
     props, conn = _m_step(kernel, resp)
     elbo = elbo_value(resp, adj, conn, props)
     history = [elbo]
     for _ in range(VEM_MAX_ITERS):
-        theta = loss.prepare_theta(conn)
+        theta = conn.raw  # a closed-form connectivity is already clamped
         log_alpha = np.log(props.weights)
         for _ in range(50):
             logits = log_alpha[None, :] - kernel.cost(resp, theta)
@@ -124,8 +121,8 @@ def exact_log_likelihood(adj: AdjacencyMatrix, conn: ConnectivityMatrix, props: 
     """Exact marginal log-likelihood by summing over all hard assignments.
 
     Uses log-sum-exp over the k**n assignment vectors; refuses instances
-    where that count exceeds 1e7.  Connectivity values are read through
-    the clamped view so the edge terms stay finite.
+    where that count exceeds 1e7.  Connectivity values are clamped by the
+    Bernoulli loss so the edge terms stay finite.
     """
     # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
     from scipy.special import logsumexp
@@ -135,7 +132,7 @@ def exact_log_likelihood(adj: AdjacencyMatrix, conn: ConnectivityMatrix, props: 
     if props.k != k:
         raise ValueError("connectivity and proportions disagree on k")
     count = _guard_enumeration(n, k)
-    theta = conn.entries
+    theta = make_loss("bernoulli_nll").prepare_theta(conn)
     logp1 = np.log(theta)
     logp0 = np.log1p(-theta)
     with np.errstate(divide="ignore"):

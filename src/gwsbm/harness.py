@@ -95,6 +95,13 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds repeat: {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {self.seeds}")
+        for i, p_in in enumerate(self.p_in_grid):
+            try:
+                build_scenario(self.scenario, self.k_true, p_in, self.p_out)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"p_in_grid[{i}] = {p_in!r} with p_out {self.p_out!r}: {exc}")
         if self.sparsity_grid is not None:
             grid = [_check_sparsity(x) for x in self.sparsity_grid]
             if grid != sorted(grid):
@@ -284,11 +291,14 @@ def _cells_dir(output_path: str | Path) -> Path:
 def _claim_cells_dir(config: ExperimentConfig) -> Path:
     """Create the shard directory, or check that its shards are this config's.
 
+    A directory ``output_path`` is refused before anything is created.
     The config (less ``output_path``) is recorded in ``config.json`` before
     any shard is written.  Shards computed under another config, or under
     one never recorded, would silently mix into the merged CSV, so they
     are an error.
     """
+    if Path(config.output_path).is_dir():
+        raise IsADirectoryError(f"output_path {config.output_path} is a directory")
     cells_dir = _cells_dir(config.output_path)
     recorded = {k: v for k, v in config.to_dict().items() if k != "output_path"}
     text = json.dumps(recorded, indent=2, sort_keys=True) + "\n"
@@ -344,6 +354,8 @@ def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int 
 def run_ari_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[ResultRow]:
     """Sweep the within-cluster rate grid and fit every seed of every cell."""
     config.validate()
+    if config.k_search > config.n:
+        raise ValueError(f"k_search must be at most n = {config.n}, got {config.k_search}")
     sparsity = config.resolved_sparsity()
     cells = [
         (f"ari_{config.method}_pin{p_in:.8g}", _sweep_cell, (float(p_in), sparsity))
@@ -357,6 +369,8 @@ def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[
     config.validate()
     if not config.sparsity_grid:
         raise ValueError("penalty sweep needs a sparsity grid")
+    if config.k_search > config.n:
+        raise ValueError(f"k_search must be at most n = {config.n}, got {config.k_search}")
     p_in = float(config.p_in_grid[0])
     cells = [
         (f"lam_{config.method}_lam{sparsity:.8g}", _sweep_cell, (p_in, float(sparsity)))
@@ -373,5 +387,7 @@ def run_consistency(config: ExperimentConfig, jobs: int | None = None) -> list[C
     config.validate()
     if not config.n_grid:
         raise ValueError("consistency experiment needs n_grid")
+    if min(config.n_grid) < max(2, config.k_true):
+        raise ValueError(f"n_grid sizes must be at least max(2, k_true), got {config.n_grid}")
     cells = [(f"ladder_n{n}", _ladder_cell, (n,)) for n in config.n_grid]
     return _run_cells(config, ConsistencyRow, cells, jobs)

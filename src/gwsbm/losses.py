@@ -15,17 +15,18 @@ diagonal (i == j) terms those products include only the ``f2`` part is
 nonzero, and one exact correction removes it.  ``f1(0) = 0`` also means
 ``f1(A)`` lives on A's nonzero entries, so :class:`CostKernel` holds A and
 ``f1(A)`` as sparse CSR arrays and one cost application takes
-O(|E| k + n k^2) time for a graph with |E| stored entries.
-:meth:`CostKernel.cost` also takes ``A @ T`` when the caller has it: for a
-one-hot plan of mass u per row, such as a Frank-Wolfe vertex, that product
-is u times the neighbour-label sums (:meth:`CostKernel.label_sums`), which a
-caller builds once and then updates over the relabelled rows alone.
+O(|E| k + n k^2) time for a graph with |E| stored entries, less the
+sparse ``A @ T`` when the caller has it, as Frank-Wolfe does for its
+one-hot vertices (:meth:`CostKernel.label_sums`).
 
 The objective ``<cost(T), T>`` and the connectivity minimizing it at a
 fixed plan read the plan only through its pair summaries
 (:meth:`CostKernel.pair_summaries`), and each is written once on them:
 :func:`summary_objective` (every objective value outside Frank-Wolfe,
 penalized or not) and :func:`theta_from_summaries`.
+Every entry point here and in :mod:`gwsbm.solver` starts from
+:func:`_checked_kernel`.  Connectivity is clamped once, by
+:meth:`CompositeLoss.prepare_theta`; a closed-form one is born clamped.
 """
 
 from __future__ import annotations
@@ -335,21 +336,23 @@ def summary_objective(summ: tuple, theta, loss: CompositeLoss, sparsity: float =
     return f1 + float(np.sum(f2t * d - h2t * s)) + sparsity * column_mass_penalty(q)
 
 
-def _checked_kernel(adj, loss: CompositeLoss, t: np.ndarray, theta=None) -> CostKernel:
-    """Kernel for ``adj`` after checking the plan (and connectivity) shapes against it."""
+def _checked_kernel(adj, loss: CompositeLoss, plan, conn=None) -> tuple:
+    """``(kernel, t, theta)``: the kernel of ``adj``, the matrix of ``plan`` and ``conn``
+    prepared (``None`` when not given), with their shapes checked against each other."""
+    t = _plan_matrix(plan)
+    theta = None if conn is None else loss.prepare_theta(conn)
     kernel = CostKernel(adj, loss)
     if t.shape[0] != kernel.n:
         raise ValueError("plan and adjacency disagree on n")
     if theta is not None and theta.shape[0] != t.shape[1]:
         raise ValueError("plan and connectivity disagree on k")
-    return kernel
+    return kernel, t, theta
 
 
 def cost_application(adj, plan, conn, loss: CompositeLoss) -> np.ndarray:
     """Matrix M with M[i, k] = sum_{j != i, l} loss(A[i, j], theta[k, l]) T[j, l]."""
-    t = _plan_matrix(plan)
-    theta = loss.prepare_theta(conn)
-    m = _checked_kernel(adj, loss, t, theta).cost(t, theta)
+    kernel, t, theta = _checked_kernel(adj, loss, plan, conn)
+    m = kernel.cost(t, theta)
     if not np.isfinite(m).all():
         raise FloatingPointError("non-finite cost: connectivity outside loss domain?")
     return m
@@ -361,9 +364,8 @@ def srgw_objective(adj, plan, conn, loss: CompositeLoss) -> float:
     Equals ``sum_{i != j, k, l} loss(A[i, j], theta[k, l]) T[i, k] T[j, l]``;
     diagonal (i == j) terms are excluded exactly.
     """
-    t = _plan_matrix(plan)
-    theta = loss.prepare_theta(conn)
-    value = _checked_kernel(adj, loss, t, theta).objective(t, theta)
+    kernel, t, theta = _checked_kernel(adj, loss, plan, conn)
+    value = kernel.objective(t, theta)
     if not np.isfinite(value):
         raise FloatingPointError("non-finite objective: connectivity outside loss domain?")
     return value
@@ -379,7 +381,7 @@ def theta_from_summaries(summ: tuple, loss: CompositeLoss) -> tuple[np.ndarray, 
     """
     s, d = summ[:2]
     inactive = d <= DENOMINATOR_FLOOR
-    ratio = np.where(inactive, 1.0, s / np.where(inactive, 1.0, d))
+    ratio = s / np.where(inactive, 1.0, d)
     theta = np.clip(np.asarray(loss.theta_inverse_map(ratio), dtype=np.float64), *loss.theta_clamp)
     return np.where(inactive, 0.5, theta), inactive
 
@@ -391,5 +393,5 @@ def closed_form_connectivity(adj, plan, loss: CompositeLoss) -> ConnectivityMatr
     :func:`srgw_objective` exactly; see :func:`theta_from_summaries` for
     the cell rule.
     """
-    t = _plan_matrix(plan)
-    return _checked_kernel(adj, loss, t).connectivity(t)
+    kernel, t, _ = _checked_kernel(adj, loss, plan)
+    return kernel.connectivity(t)

@@ -93,11 +93,10 @@ def adjacency_from_edges(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyMatri
 class ConnectivityMatrix:
     """Symmetric cluster-to-cluster connectivity values.
 
-    ``raw`` keeps the values exactly as supplied (or as produced by a
-    closed-form update); ``entries`` exposes the same values clamped into
-    ``[PROB_MARGIN, 1 - PROB_MARGIN]``, which is what log-based Bernoulli
-    computations consume.  ``inactive`` optionally marks cells whose update
-    had no supporting pair mass.
+    ``raw`` keeps the values exactly as supplied or as a closed-form update
+    made them; a loss clamps them where it reads them
+    (:meth:`gwsbm.losses.CompositeLoss.prepare_theta`).  ``inactive``
+    optionally marks cells whose update had no supporting pair mass.
     """
 
     raw: np.ndarray
@@ -121,11 +120,6 @@ class ConnectivityMatrix:
     @property
     def k(self) -> int:
         return self.raw.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Values clamped into [PROB_MARGIN, 1 - PROB_MARGIN]."""
-        return np.clip(self.raw, PROB_MARGIN, 1.0 - PROB_MARGIN)
 
     def has_distinct_profiles(self) -> bool:
         """True when no two live clusters share an identical row (and column).

@@ -180,11 +180,11 @@ def _checks():
     )
 
 
-def run_selftest(println=print) -> bool:
+def run_selftest() -> bool:
     """Run every invariant check, print one line each, return overall pass."""
     all_ok = True
     for name, ok in _checks():
-        println(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
         all_ok = all_ok and ok
-    println(f"selftest: {'all checks passed' if all_ok else 'FAILURES detected'}")
+    print(f"selftest: {'all checks passed' if all_ok else 'FAILURES detected'}")
     return all_ok

@@ -11,12 +11,9 @@ Three nested loops:
   and ``d = x - t``, the objective at ``t + gamma d`` is
   ``f0 + b gamma + a gamma^2`` with ``a = <mx - m, d>`` and
   ``b = <2 m + prices, d>``, the gradient along ``d``.  Each iteration
-  applies the cost once, to the vertex.  The vertex is one-hot with mass
-  ``1/n``, so its ``A @ x`` is ``1/n`` times the neighbour-label sums of
-  its labels (:meth:`gwsbm.losses.CostKernel.label_sums`), which each run
-  builds once and then updates over the rows whose label changed.  In
-  workload-shaped fits 30 % of the updates relabel over 1 % of the rows,
-  3 % over 5 %, and the largest 33 %.
+  applies the cost once, to the one-hot vertex, whose ``A @ x`` comes from
+  neighbour-label sums carried from one vertex to the next
+  (:meth:`gwsbm.losses.CostKernel.label_sums`).
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
   masses.  Each round hands Frank-Wolfe (warm-started) the penalty's tangent
   at the current plan, one price per cluster, which makes the true penalized
@@ -32,8 +29,8 @@ Three nested loops:
 
 Outside Frank-Wolfe, every objective value is
 :func:`gwsbm.losses.summary_objective` of the plan's pair summaries, which
-:func:`bcd_fit` computes once per plan and shares between the
-connectivity refit, the penalized objective and the merge step.
+:func:`bcd_fit` computes once per plan; :func:`_refit` prices every plan it
+and the merge step see.  :func:`fw_solve` reads no summaries.
 
 The sparsity strength is the only setting; the iteration caps and
 relative stopping tolerances of the three loops are the module constants
@@ -46,6 +43,7 @@ quantity (see :func:`entropic_objective`).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -127,6 +125,12 @@ def _merge_rowcol(mat: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.delete(np.delete(out, j, axis=0), j, axis=1)
 
 
+def _refit(summ: tuple, loss: CompositeLoss, sparsity: float) -> tuple[ConnectivityMatrix, float]:
+    """Closed-form connectivity of the plan with pair summaries ``summ``, and the score there."""
+    conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
+    return conn, summary_objective(summ, conn.raw, loss, sparsity)
+
+
 def _merge_step(
     kernel: CostKernel,
     t: np.ndarray,
@@ -134,39 +138,27 @@ def _merge_step(
     conn: ConnectivityMatrix,
     pen: float,
     *,
-    sparsity: float = 0.0,
+    sparsity: float,
 ) -> tuple[np.ndarray, tuple, ConnectivityMatrix, float]:
     """Pour one cluster into another while that strictly lowers the score.
 
-    ``summ``, ``conn`` and ``pen`` are the pair summaries of ``t``, its
-    closed-form connectivity and the penalized objective there; the same
-    four are returned after the last accepted merge.  A candidate's score
-    is the penalized objective at the connectivity refit to the merged
-    plan, so an accepted merge is a descent step of the alternating
-    scheme.  Candidates are ranked on merged summaries; the best one is
-    formed as a plan and refit and re-scored from its own fresh summaries
-    before being accepted (keeping the loss history non-increasing despite
-    floating-point dust), and those summaries serve the next pass.
+    ``summ`` holds the pair summaries of ``t`` and ``(conn, pen)`` their
+    :func:`_refit`; the same four are returned after the last accepted
+    merge.  Candidates are ranked by the :func:`_refit` score of their
+    merged summaries, so an accepted merge is a descent step.  The best one
+    is formed as a plan and re-scored from its own fresh summaries before
+    being accepted, which keeps the loss history non-increasing despite
+    floating-point dust; those summaries serve the next pass.
     """
-    loss = kernel.loss
     while True:
         s, d, q, f1 = summ
-        live = np.flatnonzero(q > 1e-12)
         best_gain, best_pair = 0.0, None
-        for a in range(live.size):
-            i = int(live[a])
-            for b in range(a + 1, live.size):
-                j = int(live[b])
-                cand = (
-                    _merge_rowcol(s, i, j),
-                    _merge_rowcol(d, i, j),
-                    np.delete(q + (np.arange(q.size) == i) * q[j], j),
-                    f1,
-                )
-                theta, _ = theta_from_summaries(cand, loss)
-                gain = pen - summary_objective(cand, theta, loss, sparsity)
-                if gain > best_gain:
-                    best_gain, best_pair = gain, (i, j)
+        for i, j in itertools.combinations(np.flatnonzero(q > 1e-12).tolist(), 2):
+            merged_q = np.delete(q + (np.arange(q.size) == i) * q[j], j)
+            cand = (_merge_rowcol(s, i, j), _merge_rowcol(d, i, j), merged_q, f1)
+            gain = pen - _refit(cand, kernel.loss, sparsity)[1]
+            if gain > best_gain:
+                best_gain, best_pair = gain, (i, j)
         if best_pair is None:
             return t, summ, conn, pen
         i, j = best_pair
@@ -174,8 +166,7 @@ def _merge_step(
         merged[:, i] += merged[:, j]
         merged[:, j] = 0.0
         merged_summ = kernel.pair_summaries(merged)
-        merged_conn = ConnectivityMatrix(*theta_from_summaries(merged_summ, loss))
-        merged_pen = summary_objective(merged_summ, merged_conn.raw, loss, sparsity)
+        merged_conn, merged_pen = _refit(merged_summ, kernel.loss, sparsity)
         if not merged_pen < pen:
             return t, summ, conn, pen
         t, summ, conn, pen = merged, merged_summ, merged_conn, merged_pen
@@ -253,11 +244,12 @@ def _fw_core(
 def fw_solve(adj, loss: CompositeLoss, conn, plan0: TransportPlan) -> TransportPlan:
     """Minimize the objective at fixed connectivity from a feasible start.
 
-    This is :func:`mm_solve` without penalty: one Frank-Wolfe run.  Ties
-    in the row-wise oracle resolve to the lowest cluster index, so runs
-    are deterministic.
+    One Frank-Wolfe run with zero cluster prices, the plan :func:`mm_solve`
+    returns without penalty.  Ties in the row-wise oracle resolve to the
+    lowest cluster index, so runs are deterministic.
     """
-    return mm_solve(adj, loss, conn, plan0)
+    kernel, t0, theta = _checked_kernel(adj, loss, plan0, conn)
+    return TransportPlan(_fw_core(kernel, theta, t0, np.zeros(t0.shape[1])))
 
 
 def _mm_core(
@@ -306,9 +298,7 @@ def mm_solve(
     objective or a merge score.
     """
     sparsity = _check_sparsity(sparsity)
-    theta = loss.prepare_theta(conn)
-    t0 = _plan_matrix(plan0)
-    kernel = _checked_kernel(adj, loss, t0, theta)
+    kernel, t0, theta = _checked_kernel(adj, loss, plan0, conn)
     t, _ = _mm_core(kernel, theta, t0, kernel.pair_summaries(t0), sparsity, on_iterate)
     return TransportPlan(t)
 
@@ -332,15 +322,13 @@ def bcd_fit(
     """
     sparsity = _check_sparsity(sparsity)
     start = time.perf_counter()
-    t = _plan_matrix(plan0).copy()
-    kernel = _checked_kernel(adj, loss, t)
+    kernel, t, _ = _checked_kernel(adj, loss, plan0)
     history: list[float] = []
     summ = kernel.pair_summaries(t)
-    conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
+    conn, _ = _refit(summ, loss, sparsity)
     for _ in range(BCD_MAX_ITERS):
-        t, summ = _mm_core(kernel, loss.prepare_theta(conn), t, summ, sparsity)
-        conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
-        pen = summary_objective(summ, conn.raw, loss, sparsity)
+        t, summ = _mm_core(kernel, conn.raw, t, summ, sparsity)
+        conn, pen = _refit(summ, loss, sparsity)
         if sparsity > 0.0:
             t, summ, conn, pen = _merge_step(kernel, t, summ, conn, pen, sparsity=sparsity)
         history.append(_check_finite(pen, "bcd_fit"))

@@ -6,8 +6,7 @@ an adjacency) and ``.toarray()`` may appear in ``src/gwsbm`` only in the
 scopes listed here: the exhaustive baselines and the self-test, which run
 at tiny n, the dense ``eigh`` fallback of the spectral start (below
 ``RANDOMIZED_CUTOFF``, taken only where ARPACK's answer would not be
-reproducible), and the property itself.  ``conn.entries`` is the clamped view of a
-``ConnectivityMatrix`` (k x k) and is not an adjacency read.
+reproducible), and the property itself.
 """
 
 import ast
@@ -35,9 +34,7 @@ def _dense_reads(tree: ast.Module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         if isinstance(node, ast.Attribute) and node.attr in DENSE_ATTRIBUTES:
-            receiver = node.value
-            if not (isinstance(receiver, ast.Name) and receiver.id == "conn"):
-                found.append((".".join(scope), node.lineno, node.attr))
+            found.append((".".join(scope), node.lineno, node.attr))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -62,4 +59,6 @@ def test_the_check_sees_a_misplaced_read():
         "    x = conn.entries\n"
         "    return adj.entries, adj.csr.toarray()\n"
     )
-    assert _dense_reads(tree) == [("fit", 3, "entries"), ("fit", 3, "toarray")]
+    assert _dense_reads(tree) == [
+        ("fit", 2, "entries"), ("fit", 3, "entries"), ("fit", 3, "toarray"),
+    ]

@@ -145,6 +145,33 @@ class TestConfig:
         assert f"error: {name} must be an integer" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "kind, field, value, name",
+        [
+            ("ari-sweep", "p_in_grid", [0.6, 1.5], "p_in_grid[1]"),
+            ("ari-sweep", "p_in_grid", [0.6, 0.05], "p_in_grid[1]"),
+            ("consistency", "n_grid", [12, 1], "n_grid"),
+            ("ari-sweep", "k_search", 20, "k_search"),
+            ("lambda-sweep", "k_search", 20, "k_search"),
+            ("ari-sweep", "seeds", [0, -1], "seeds"),
+            ("ari-sweep", "output_path", "a directory", "output_path"),
+        ],
+    )
+    def test_config_is_refused_before_any_cell_runs(self, tmp_path, capsys, kind, field, value,
+                                                    name):
+        """A config some cell cannot run exits 1 naming the field, and leaves no
+        shard directory behind that a corrected rerun would be refused over."""
+        if value == "a directory":
+            (tmp_path / "out.csv").mkdir()
+            value = str(tmp_path / "out.csv")
+        config = tiny_config(tmp_path, n=12, k_search=3, p_in_grid=[0.6], p_out=0.1,
+                             seeds=[0], n_grid=[12], sparsity_grid=[0.0, 0.1])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config.to_dict(), field: value}))
+        assert cli_dispatch(["experiment", kind, "--config", str(path)]) == 1
+        assert f"error: {name}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv.cells").exists()
+
     def test_validation_accepts_method_loss_pairs(self, tmp_path):
         for method, loss in (("srgw_nll", "bernoulli_nll"), ("srgw_l2", "squared"),
                              ("vem", "bernoulli_nll"), ("spectral_only", "poisson_nll")):
@@ -621,6 +648,7 @@ class TestCli:
         }[case]
         assert cli_dispatch(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "dir.cells").exists()
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -698,6 +726,8 @@ class TestCli:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli_dispatch(["experiment", kind, "--config", str(path)])
             assert code in (0, 1), err.getvalue()
+            if code == 1:
+                assert not Path(f"{out}.cells").exists(), err.getvalue()
             if code == 0:
                 row_type = ConsistencyRow if kind == "consistency" else ResultRow
                 assert _parse_rows(out, row_type)

@@ -230,10 +230,12 @@ class TestTypeValidation:
             ConnectivityMatrix(np.array([[0.5, 0.1], [0.2, 0.5]]))
 
     def test_connectivity_clamps_entries_view(self):
+        """``raw`` keeps 0 and 1 as given; the Bernoulli loss clamps them where it reads them."""
         conn = ConnectivityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert conn.raw[0, 0] == 0.0
-        assert conn.entries[0, 0] == pytest.approx(1e-6)
-        assert conn.entries[0, 1] == pytest.approx(1.0 - 1e-6)
+        assert conn.raw[0, 0] == 0.0 and conn.raw[0, 1] == 1.0
+        theta = make_loss("bernoulli_nll").prepare_theta(conn)
+        assert theta[0, 0] == pytest.approx(1e-6)
+        assert theta[0, 1] == pytest.approx(1.0 - 1e-6)
 
     def test_proportions_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -297,6 +297,21 @@ class TestMajorizeMinimize:
         b = fw_solve(adj, loss, theta, plan0)
         assert np.array_equal(a.matrix, b.matrix)
 
+    def test_plain_solve_reads_no_pair_summaries(self, monkeypatch):
+        """``fw_solve`` is one Frank-Wolfe run: it prices no plan from its summaries."""
+        calls, real = [], CostKernel.pair_summaries
+
+        def counting(kernel, t):
+            calls.append(t)
+            return real(kernel, t)
+
+        monkeypatch.setattr(CostKernel, "pair_summaries", counting)
+        conn = build_scenario("assortative", 3, 0.2, 0.03)
+        adj, _ = sample_graph(conn, balanced_proportions(3), 200, seed=0)
+        out = fw_solve(adj, make_loss("bernoulli_nll"), conn, spectral_init(adj, 3, seed=0))
+        assert calls == []
+        assert not np.array_equal(out.matrix, spectral_init(adj, 3, seed=0).matrix)
+
     def test_dominant_penalty_leaves_one_cluster(self):
         conn = build_scenario("assortative", 4, 0.3, 0.05)
         adj, _ = sample_graph(conn, balanced_proportions(4), 40, seed=6)
@@ -324,6 +339,24 @@ class TestMajorizeMinimize:
         mm_solve(adj, loss, conn, plan0, sparsity=lam, on_iterate=watch)
         assert len(values) >= 2
         assert np.all(np.diff(values) <= 1e-10)
+
+    def test_first_iterate_sees_the_start_objective_with_its_prices(self):
+        """Frank-Wolfe's start objective is the plan's objective plus the tangent
+        prices times the cluster masses, as summaries and prices give it."""
+        scenario = build_scenario("assortative", 3, 0.35, 0.05)
+        adj, _ = sample_graph(scenario, balanced_proportions(3), 50, seed=7)
+        loss = make_loss("bernoulli_nll")
+        plan0 = spectral_init(adj, 6, seed=7)
+        conn = closed_form_connectivity(adj, plan0, loss)
+        lam = 0.05
+        seen = []
+        mm_solve(adj, loss, conn, plan0, sparsity=lam, on_iterate=lambda t, obj: seen.append(obj))
+        t0 = plan0.matrix
+        summ = CostKernel(adj, loss).pair_summaries(t0)
+        prices = penalty_linearization(t0, lam)
+        expected = summary_objective(summ, loss.prepare_theta(conn), loss) + prices @ summ[2]
+        assert prices.any()
+        assert seen[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestClusterMerges:
@@ -466,6 +499,21 @@ class TestAlternatingFit:
 
 
 class TestBoundEvaluators:
+    def test_elbo_accepts_an_empty_cluster_without_prior_mass(self):
+        """A cluster with zero prior weight and no responsibility changes nothing."""
+        rng = np.random.default_rng(18)
+        adj = oracles.random_binary_graph(rng, 8)
+        resp = rng.random((8, 2)) + 0.1
+        resp /= resp.sum(axis=1, keepdims=True)
+        conn = oracles.random_theta(rng, 3)
+        truncated = elbo_value(
+            resp, adj, ConnectivityMatrix(conn.raw[:2, :2]), Proportions(np.array([0.4, 0.6]))
+        )
+        padded = elbo_value(
+            np.hstack([resp, np.zeros((8, 1))]), adj, conn, Proportions(np.array([0.4, 0.6, 0.0]))
+        )
+        assert padded == truncated
+
     def test_elbo_single_cluster_formula(self):
         rng = np.random.default_rng(14)
         adj = oracles.random_binary_graph(rng, 9)
