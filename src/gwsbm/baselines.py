@@ -13,7 +13,7 @@ import numpy as np
 from .initplans import labels_to_plan
 from .losses import CompositeLoss, CostKernel, TransportPlan, _checked_kernel, make_loss
 from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
-from .solver import _fw_core, _stalled, elbo_value
+from .solver import _fw_core, _kernel_elbo, _stalled
 
 #: Hard cap on k**n for the exhaustive routines.
 ENUMERATION_CAP = 10_000_000
@@ -79,7 +79,7 @@ def vem_fit(
         raise ValueError("responsibility rows must be probability vectors")
     kernel = _checked_kernel(adj, make_loss("bernoulli_nll"), resp)[0]
     props, conn = _m_step(kernel, resp)
-    elbo = elbo_value(resp, adj, conn, props)
+    elbo = _kernel_elbo(kernel, resp, conn, props)
     history = [elbo]
     for _ in range(VEM_MAX_ITERS):
         theta = conn.raw  # a closed-form connectivity is already clamped
@@ -94,7 +94,7 @@ def vem_fit(
             if delta < 1e-6:
                 break
         props, conn = _m_step(kernel, resp)
-        new_elbo = elbo_value(resp, adj, conn, props)
+        new_elbo = _kernel_elbo(kernel, resp, conn, props)
         history.append(new_elbo)
         done = _stalled(elbo, new_elbo, VEM_REL_TOL)
         elbo = new_elbo

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,22 @@ import numpy as np
 from .sbm import AdjacencyMatrix, Labels, adjacency_from_edges
 
 
-def _atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temporary file in the same directory, then rename."""
+#: Edges formatted per write by :func:`write_edge_list`, so the text of a
+#: large graph is never held whole.
+_EDGE_CHUNK = 1 << 16
+
+
+def _atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or its pieces in order, via a temporary file
+    in the same directory, then rename."""
+    if isinstance(text, str):
+        text = (text,)
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for piece in text:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -38,9 +48,15 @@ def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     coo = adj.csr.tocoo()  # the canonical CSR's order: row-major, columns sorted
     upper = coo.row < coo.col
     iu, ju = coo.row[upper], coo.col[upper]
-    lines = [str(adj.n)]
-    lines.extend(f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist()))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield f"{adj.n}\n"
+        for start in range(0, iu.size, _EDGE_CHUNK):
+            rows = iu[start : start + _EDGE_CHUNK].tolist()
+            cols = ju[start : start + _EDGE_CHUNK].tolist()
+            yield "".join(f"{i} {j}\n" for i, j in zip(rows, cols))
+
+    _atomic_write_text(path, chunks())
 
 
 def _edge_rows(body: str) -> np.ndarray | None:
@@ -75,7 +91,8 @@ def _first_edge_fault(path: str | Path, body: str, n: int) -> ValueError:
 def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     """Read an edge list written by :func:`write_edge_list`.
 
-    Blank lines are skipped and a repeated edge is stored once.  Any
+    Blank lines are skipped, and the edges may come in any order, a
+    repeated edge stored once (:func:`gwsbm.sbm.adjacency_from_edges`).  Any
     malformed input raises ``ValueError`` naming the file and, where there
     is one, the first faulty line.
     """
@@ -92,10 +109,10 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     ij = _edge_rows(body)
     if ij is None or ij.shape[1] != 2:
         raise _first_edge_fault(path, body, n)
-    i, j = ij[:, 0], ij[:, 1]
-    if not np.all((0 <= i) & (i < j) & (j < n)):
-        raise _first_edge_fault(path, body, n)
-    return adjacency_from_edges(n, i, j)
+    try:
+        return adjacency_from_edges(n, ij[:, 0], ij[:, 1])
+    except ValueError:  # a pair outside 0 <= i < j < n
+        raise _first_edge_fault(path, body, n) from None
 
 
 def write_labels(labels: Labels, path: str | Path) -> None:

@@ -79,8 +79,16 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     history: list[float] = []
     labels = None
     sq = np.einsum("ij,ij->i", points, points)
+    flat = points.ravel()
+    columns = np.arange(dim)
+    d2 = np.empty((n, k))
     for _ in range(max_iters):
-        d2 = sq[:, None] - 2.0 * points @ centers.T + np.einsum("ij,ij->i", centers, centers)[None, :]
+        # |x|^2 - 2 x.c + |c|^2 in one buffer; scaling by -2 is exact, so this
+        # is the three-temporary expression bit for bit
+        np.matmul(points, centers.T, out=d2)
+        d2 *= -2.0
+        d2 += sq[:, None]
+        d2 += np.einsum("ij,ij->i", centers, centers)
         np.maximum(d2, 0.0, out=d2)
         new_labels = np.argmin(d2, axis=1)
         best = d2[rows, new_labels]
@@ -103,9 +111,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
             labels = new_labels
             break
         labels = new_labels
-        # bincount adds each cluster's rows in index order, as mean(axis=0) does
-        for j in range(dim):
-            centers[:, j] = np.bincount(labels, weights=points[:, j], minlength=k) / counts
+        # one bin per (cluster, coordinate); bincount adds each bin's rows in
+        # index order, as mean(axis=0) does
+        bins = (labels[:, None] * dim + columns).ravel()
+        sums = np.bincount(bins, weights=flat, minlength=k * dim).reshape(k, dim)
+        np.divide(sums, counts[:, None], out=centers)
     return labels, centers, history
 
 

@@ -37,7 +37,11 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .sbm import PROB_MARGIN, AdjacencyMatrix, ConnectivityMatrix
+from .sbm import AdjacencyMatrix, ConnectivityMatrix
+
+#: Margin that keeps connectivity entries away from {0, 1} so that
+#: log-based losses stay finite.
+PROB_MARGIN = 1e-6
 
 LOSS_KINDS = ("squared", "bernoulli_nll", "poisson_nll", "exponential_nll")
 

@@ -12,19 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-#: Margin that keeps connectivity entries away from {0, 1} so that
-#: log-based losses stay finite.
-PROB_MARGIN = 1e-6
-
 SCENARIO_KINDS = ("assortative", "disassortative", "hub")
 
 PROPORTION_KINDS = ("balanced", "inverse_square")
+
+#: Uniforms :func:`sample_graph` holds at a time, 1 MiB of float64: it draws
+#: slabs of ``_SLAB_CELLS // n`` rows of ``n``, clipped to [1, n] rows.
+_SLAB_CELLS = 1 << 17
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _freeze(adj: AdjacencyMatrix, csr: sparse.csr_array) -> None:
+    for arr in (csr.data, csr.indices, csr.indptr):
+        arr.setflags(write=False)
+    object.__setattr__(adj, "csr", csr)
 
 
 @dataclass(frozen=True)
@@ -54,9 +60,15 @@ class AdjacencyMatrix:
             raise ValueError("adjacency matrix must be symmetric")
         if a.diagonal().any():
             raise ValueError("adjacency diagonal must be zero")
-        for arr in (a.data, a.indices, a.indptr):
-            arr.setflags(write=False)
-        object.__setattr__(self, "csr", a)
+        _freeze(self, a)
+
+    @classmethod
+    def _from_canonical(cls, csr: sparse.csr_array) -> AdjacencyMatrix:
+        """Wrap a CSR array already canonical, symmetric, finite and zero on
+        the diagonal, without a copy or a check."""
+        adj = object.__new__(cls)
+        _freeze(adj, csr)
+        return adj
 
     @property
     def n(self) -> int:
@@ -75,18 +87,44 @@ class AdjacencyMatrix:
         return self.csr.nnz // 2
 
 
-def adjacency_from_edges(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyMatrix:
+def adjacency_from_edges(n: int, i, j) -> AdjacencyMatrix:
     """Binary graph on ``n`` nodes with an edge for each pair ``(i[e], j[e])``.
 
-    Pairs must satisfy ``0 <= i < j < n``; a repeated pair is stored once.
+    Pairs must be integers with ``0 <= i < j < n``, else ``ValueError``.
+    They may come in any order, and a repeated pair is stored once.
     """
+    i, j = np.asarray(i), np.asarray(j)
+    if n < 1:
+        raise ValueError("a graph needs at least one node")
+    if i.ndim != 1 or i.shape != j.shape:
+        raise ValueError("edge endpoints must be two vectors of one length")
+    if i.size and not (np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)):
+        raise ValueError("edge endpoints must be integers")
+    i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+    if not np.all((0 <= i) & (i < j) & (j < n)):
+        raise ValueError(f"edges must satisfy 0 <= i < j < n = {n}")
+    return _adjacency_from_keys(n, i * n + j)
+
+
+def _adjacency_from_keys(n: int, keys: np.ndarray) -> AdjacencyMatrix:
+    """The graph whose edges (i, j), 0 <= i < j < n, are keyed ``i * n + j``.
+
+    Keys are sorted and deduplicated only when not already strictly
+    increasing.  Each edge is stored as ``(j, i)`` and ``(i, j)``, the lower
+    half first: the COO to CSR pass keeps entries in input order within a
+    row, so every row's columns come out sorted and the CSR array is
+    canonical as built.  It is wrapped without the copy and the symmetry
+    check the ``AdjacencyMatrix`` constructor makes of other inputs.
+    """
+    if np.any(keys[1:] <= keys[:-1]):
+        keys = np.unique(keys)
+    m = keys.size
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    rows = np.concatenate([i, j]).astype(index)
-    cols = np.concatenate([j, i]).astype(index)
-    a = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    del rows, cols  # keep the peak at one CSR plus its copy below
-    a.data[:] = 1.0  # the conversion sums a repeated pair; an edge is 0 or 1
-    return AdjacencyMatrix(a)
+    rows, cols = np.empty(2 * m, dtype=index), np.empty(2 * m, dtype=index)
+    np.divmod(keys, n, out=(cols[:m], rows[:m]), casting="unsafe")
+    rows[m:], cols[m:] = cols[:m], rows[:m]
+    coo = sparse.coo_array((np.ones(2 * m), (rows, cols)), shape=(n, n))
+    return AdjacencyMatrix._from_canonical(coo.tocsr())
 
 
 @dataclass(frozen=True)
@@ -256,6 +294,12 @@ def sample_graph(
     ``conn.raw[z_i, z_j]``.  Raw (pre-clamp) connectivity values are used so
     that probability 0 and 1 behave exactly.  The generator is NumPy's
     seeded PCG64, so results are reproducible bit for bit for a given seed.
+
+    After the labels, pair (i, j) compares the uniform at row i, column j of
+    ``rng.random((n, n))``.  The uniforms are drawn in slabs of rows, and
+    PCG64 makes one 64-bit draw per double either way, so the graph is the
+    one the single n x n draw gives, in O(|E| + n) memory.  Time stays
+    Theta(n^2): every one of the n^2 uniforms is drawn.
     """
     if conn.k != props.k:
         raise ValueError("connectivity and proportions disagree on k")
@@ -266,10 +310,18 @@ def sample_graph(
         raise ValueError("edge probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     z = rng.choice(conn.k, size=n, p=props.weights).astype(np.int64)
-    # one expression, so the n x n uniforms and probabilities are freed
-    # before the graph is built
-    i, j = np.nonzero(np.triu(rng.random((n, n)) < p[z[:, None], z[None, :]], 1))
-    return adjacency_from_edges(n, i, j), Labels(z, conn.k)
+    height = min(n, max(1, _SLAB_CELLS // n))
+    uniforms = np.empty((height, n))
+    pieces = []
+    for start in range(0, n, height):
+        stop = min(start + height, n)
+        slab = rng.random(out=uniforms[: stop - start])
+        # columns from start + 1 on; triu then keeps j > i in every row
+        r, c = np.nonzero(np.triu(slab[:, start + 1 :] < p[z[start:stop]][:, z[start + 1 :]]))
+        pieces.append((r + start) * n + (c + start + 1))
+    keys = np.concatenate(pieces)  # row-major, so strictly increasing
+    del pieces
+    return _adjacency_from_keys(n, keys), Labels(z, conn.k)
 
 
 def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:

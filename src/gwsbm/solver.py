@@ -355,9 +355,6 @@ def elbo_value(resp, adj, conn: ConnectivityMatrix, props: Proportions) -> float
     no self pairs) plus the assignment entropy plus the expected log prior
     under ``props``.  The convention 0 log 0 = 0 applies throughout.
     """
-    # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
-    from scipy.special import xlogy
-
     resp = np.asarray(resp, dtype=np.float64)
     if resp.ndim != 2:
         raise ValueError("responsibilities must be 2-d")
@@ -365,13 +362,22 @@ def elbo_value(resp, adj, conn: ConnectivityMatrix, props: Proportions) -> float
         raise ValueError("responsibility rows must be probability vectors")
     if resp.shape[1] != props.k or resp.shape[1] != conn.k:
         raise ValueError("responsibilities, proportions and connectivity disagree on k")
-    col = resp.sum(axis=0)
-    w = props.weights
-    if np.any((w == 0.0) & (col > 0.0)):
+    if np.any((props.weights == 0.0) & (resp.sum(axis=0) > 0.0)):
         raise ValueError("a cluster with zero prior mass carries responsibility")
-    quad = srgw_objective(adj, resp, conn, make_loss("bernoulli_nll"))
+    kernel = _checked_kernel(adj, make_loss("bernoulli_nll"), resp, conn)[0]
+    return _kernel_elbo(kernel, resp, conn, props)
+
+
+def _kernel_elbo(kernel: CostKernel, resp: np.ndarray, conn: ConnectivityMatrix, props: Proportions) -> float:
+    """:func:`elbo_value` of responsibilities already checked, priced on a Bernoulli ``kernel``."""
+    # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
+    from scipy.special import xlogy
+
+    quad = kernel.objective(resp, kernel.loss.prepare_theta(conn))
+    if not np.isfinite(quad):
+        raise FloatingPointError("non-finite objective: connectivity outside loss domain?")
     entropy = -float(xlogy(resp, resp).sum())
-    prior = float(xlogy(col, w).sum())
+    prior = float(xlogy(resp.sum(axis=0), props.weights).sum())
     return -0.5 * quad + entropy + prior
 
 

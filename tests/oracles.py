@@ -172,6 +172,20 @@ def lloyd_by_masks(points, centers, max_iters):
     return labels, centers, history
 
 
+def sample_by_dense_uniforms(conn, props, n, seed):
+    """The reference for ``sbm.sample_graph``: every uniform drawn in one n x n block.
+
+    Labels come first from ``default_rng(seed)``, then ``rng.random((n, n))``;
+    pair (i, j) with i < j is an edge when its row-major uniform falls below
+    ``conn.raw[z_i, z_j]``.  Returns (adjacency, labels), the graph built
+    from the dense 0/1 matrix by the validating ``AdjacencyMatrix``.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.choice(conn.k, size=n, p=props.weights).astype(np.int64)
+    upper = np.triu(rng.random((n, n)) < conn.raw[z[:, None], z[None, :]], 1)
+    return AdjacencyMatrix((upper | upper.T).astype(np.float64)), z
+
+
 def random_binary_graph(rng, n, p=0.4):
     upper = np.triu(rng.random((n, n)) < p, 1)
     return AdjacencyMatrix((upper | upper.T).astype(np.float64))

@@ -12,6 +12,7 @@ from gwsbm import (
     ari,
     brute_force_srgw,
     closed_form_connectivity,
+    elbo_value,
     exact_log_likelihood,
     fw_solve,
     labels_to_plan,
@@ -66,6 +67,8 @@ class TestVariationalEm:
         state = vem_fit(adj, 2, resp)
         diffs = np.diff(state.elbo_history)
         assert np.all(diffs >= -1e-8)
+        # priced on vem_fit's own kernel, the bound is elbo_value's to the bit
+        assert state.elbo == elbo_value(state.resp, adj, state.connectivity, state.proportions)
         exact = exact_log_likelihood(adj, state.connectivity, state.proportions)
         assert state.elbo <= exact + 1e-8
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import oracles
 from gwsbm import (
     AdjacencyMatrix,
     ConnectivityMatrix,
@@ -18,7 +19,7 @@ from gwsbm import (
     sample_graph,
     unbalanced_proportions,
 )
-from gwsbm import graphio
+from gwsbm import graphio, sbm
 from gwsbm.initplans import spectral_init
 from gwsbm.losses import make_loss
 from gwsbm.sbm import adjacency_from_edges
@@ -138,6 +139,50 @@ def test_block_densities_concentrate_on_connectivity():
         adj, labels = sample_graph(conn, props, 2000, seed=seed)
         dens = block_densities(adj, labels)
         assert np.max(np.abs(dens - conn.raw)) <= 0.02
+
+
+def assert_same_csr(got, want):
+    """Bit-identical CSR arrays, dtypes included, held canonical and read-only."""
+    for name in ("indptr", "indices", "data"):
+        mine, ref = getattr(got.csr, name), getattr(want.csr, name)
+        assert mine.dtype == ref.dtype and np.array_equal(mine, ref), name
+        assert not mine.flags.writeable
+    assert got.csr.has_canonical_format
+
+
+#: Up to n=362 one slab holds every row; 365 takes a slab of 359 rows, then
+#: one of 6; 512 two slabs of 256 exactly; 800 and 1000 are the benchmark's sizes.
+SAMPLER_SIZES = (2, 3, 50, 365, 512, 800, 1000)
+
+
+@pytest.mark.parametrize("proportions", ["balanced", "inverse_square"])
+@pytest.mark.parametrize("kind", ["assortative", "disassortative", "hub"])
+def test_slab_sampler_draws_the_dense_uniforms_graph(kind, proportions):
+    """Drawing the uniforms slab by slab takes the stream of one n x n draw:
+    labels and CSR arrays match the dense reference bit for bit."""
+    assert 365 % (sbm._SLAB_CELLS // 365) and not 512 % (sbm._SLAB_CELLS // 512)
+    conn = build_scenario(kind, 3, 0.3, 0.05)
+    props = make_proportions(proportions, 3)
+    for seed in range(3):
+        for n in SAMPLER_SIZES:
+            adj, labels = sample_graph(conn, props, n, seed)
+            want, z = oracles.sample_by_dense_uniforms(conn, props, n, seed)
+            assert np.array_equal(labels.values, z)
+            assert_same_csr(adj, want)
+
+
+def test_sampler_memory_stays_below_a_quarter_of_one_dense_array():
+    """n=3000 at mean degree ~50: the traced peak is O(|E| + n), not n x n."""
+    n = 3000
+    conn = build_scenario("assortative", 3, 1 / 30, 1 / 120)
+    tracemalloc.start()
+    try:
+        adj, _ = sample_graph(conn, balanced_proportions(3), n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 40 < 2 * adj.edge_count() / n < 60
+    assert peak < 8 * n * n / 4
 
 
 def test_sample_graph_validates_shapes():
@@ -379,6 +424,29 @@ class TestSingleRepresentation:
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(adj.csr, name), getattr(want, name))
         assert adj.edge_count() == 4
+
+    def test_reader_orders_and_dedupes_a_shuffled_edge_list(self, tmp_path):
+        """Any order, repeats included, reads to the sorted list's canonical CSR."""
+        conn = build_scenario("assortative", 2, 0.5, 0.2)
+        adj, _ = sample_graph(conn, balanced_proportions(2), 40, seed=9)
+        ordered = tmp_path / "ordered.txt"
+        graphio.write_edge_list(adj, ordered)
+        head, *lines = ordered.read_text().splitlines()
+        rng = np.random.default_rng(0)
+        repeated = lines + [lines[e] for e in rng.integers(len(lines), size=25)]
+        shuffled = tmp_path / "shuffled.txt"
+        shuffled.write_text("\n".join([head] + rng.permutation(repeated).tolist()) + "\n")
+        assert_same_csr(graphio.read_edge_list(shuffled), graphio.read_edge_list(ordered))
+        assert_same_csr(graphio.read_edge_list(ordered), adj)
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [([0, 1], [1, 1]), ([0, 2], [1, 1]), ([0], [4]), ([-1], [2]), ([0.0], [1.0]), ([0, 1], [2])],
+        ids=["i_equals_j", "i_above_j", "j_out_of_range", "negative_i", "float_pairs", "lengths_differ"],
+    )
+    def test_adjacency_from_edges_refuses_bad_pairs(self, i, j):
+        with pytest.raises(ValueError):
+            adjacency_from_edges(4, np.array(i), np.array(j))
 
     def test_fit_pipeline_never_builds_a_dense_graph(self, tmp_path, monkeypatch):
         """At n=1000 the reader, spectral start, solver, writer, edge count and
