@@ -19,6 +19,7 @@ from . import graphio
 from .baselines import RESTART_CAP, _guard_enumeration, brute_force_srgw, restarted_fw_minimum
 from .harness import (
     ExperimentConfig,
+    _check_lambda,
     auto_sparsity,
     run_ari_sweep,
     run_consistency,
@@ -101,11 +102,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    # a bad --lambda is refused before the graph is read
+    sparsity = args.sparsity if args.sparsity == "auto" else _check_lambda(args.sparsity)
     adj = graphio.read_edge_list(args.graph)
-    if args.sparsity == "auto":
+    if sparsity == "auto":
         sparsity = auto_sparsity(args.k, adj.n)
-    else:
-        sparsity = float(args.sparsity)
     loss = make_loss(args.loss)
     plan0 = spectral_init(adj, args.k, args.seed)
     result = bcd_fit(adj, loss, plan0, sparsity=sparsity)
@@ -183,7 +184,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return 0 if run_selftest() else 2
     except (ValueError, KeyError, TypeError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, FileExistsError) as exc:
+            NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

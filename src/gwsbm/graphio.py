@@ -7,7 +7,6 @@ line.  Matrices: comma-separated rows at full (round-trip) precision.
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from collections.abc import Iterable
@@ -59,19 +58,17 @@ def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     _atomic_write_text(path, chunks())
 
 
-def _edge_rows(body: str) -> np.ndarray | None:
-    """The ``i j`` rows of an edge list's body; None when numpy cannot parse them."""
-    if not body.strip():
-        return np.empty((0, 2), dtype=np.int64)
-    try:
-        return np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
+def _next_line(fh) -> tuple[int, str]:
+    """The position and text of the next non-blank line of ``fh``; ``""`` at the end."""
+    while True:
+        pos, line = fh.tell(), fh.readline()
+        if not line or line.strip():
+            return pos, line
 
 
-def _first_edge_fault(path: str | Path, body: str, n: int) -> ValueError:
+def _first_edge_fault(path: str | Path, lines: Iterable[str], n: int) -> ValueError:
     """The error for the first malformed line of an edge list's body."""
-    for line in body.split("\n"):
+    for line in lines:
         parts = line.split()
         if not parts:
             continue
@@ -94,25 +91,31 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     Blank lines are skipped, and the edges may come in any order, a
     repeated edge stored once (:func:`gwsbm.sbm.adjacency_from_edges`).  Any
     malformed input raises ``ValueError`` naming the file and, where there
-    is one, the first faulty line.
+    is one, the first faulty line.  The body streams from the file into
+    ``np.loadtxt``; only a faulty file is read a second time, for the message.
     """
     with open(path) as fh:
-        head, _, body = fh.read().lstrip().partition("\n")
-    if not head:
-        raise ValueError(f"{path}: empty edge-list file")
-    try:
-        n = int(head)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if n < 1:
-        raise ValueError(f"{path}: node count must be positive")
-    ij = _edge_rows(body)
-    if ij is None or ij.shape[1] != 2:
-        raise _first_edge_fault(path, body, n)
-    try:
-        return adjacency_from_edges(n, ij[:, 0], ij[:, 1])
-    except ValueError:  # a pair outside 0 <= i < j < n
-        raise _first_edge_fault(path, body, n) from None
+        head = _next_line(fh)[1].lstrip().removesuffix("\n")
+        if not head:
+            raise ValueError(f"{path}: empty edge-list file")
+        try:
+            n = int(head)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if n < 1:
+            raise ValueError(f"{path}: node count must be positive")
+        start, first = _next_line(fh)
+        if not first:  # no edges; loadtxt would warn that the body holds no data
+            return adjacency_from_edges(n, np.empty(0, np.int64), np.empty(0, np.int64))
+        fh.seek(start)
+        try:
+            ij = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+            if ij.shape[1] != 2:
+                raise ValueError(f"{ij.shape[1]} columns")
+            return adjacency_from_edges(n, ij[:, 0], ij[:, 1])
+        except ValueError:  # unparsable text, or a pair outside 0 <= i < j < n
+            fh.seek(start)
+            raise _first_edge_fault(path, fh, n) from None
 
 
 def write_labels(labels: Labels, path: str | Path) -> None:

@@ -40,6 +40,14 @@ METHOD_LOSS = {"srgw_nll": "bernoulli_nll", "srgw_l2": "squared", "vem": "bernou
 _EXTERNAL_NAMES = {"sparsity": "lambda", "sparsity_grid": "lambda_grid"}
 
 
+def _check_lambda(value, name: str = "lambda") -> float:
+    """A penalty strength from a config or the CLI (not a bool); a refusal calls it ``name``."""
+    try:
+        return _check_sparsity(None if isinstance(value, bool) else value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}") from None
+
+
 def auto_sparsity(k_search: int, n: int) -> float:
     """Default penalty strength: half the searched width per node pair."""
     return k_search / (2.0 * n)
@@ -103,14 +111,14 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"p_in_grid[{i}] = {p_in!r} with p_out {self.p_out!r}: {exc}")
         if self.sparsity_grid is not None:
-            grid = [_check_sparsity(x) for x in self.sparsity_grid]
+            grid = [_check_lambda(x, f"lambda_grid[{i}]") for i, x in enumerate(self.sparsity_grid)]
             if grid != sorted(grid):
-                raise ValueError("sparsity grid must be ascending")
+                raise ValueError("lambda_grid must be ascending")
         if isinstance(self.sparsity, str):
             if self.sparsity != "auto":
-                raise ValueError("sparsity must be a number, 'auto', or null")
+                raise ValueError("lambda must be a number, 'auto', or null")
         elif self.sparsity is not None:
-            _check_sparsity(self.sparsity)
+            _check_lambda(self.sparsity)
 
     def resolved_sparsity(self) -> float:
         if self.sparsity == "auto":
@@ -368,7 +376,7 @@ def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[
     """Sweep penalty strengths at a fixed within-cluster rate."""
     config.validate()
     if not config.sparsity_grid:
-        raise ValueError("penalty sweep needs a sparsity grid")
+        raise ValueError("penalty sweep needs a lambda_grid")
     if config.k_search > config.n:
         raise ValueError(f"k_search must be at most n = {config.n}, got {config.k_search}")
     p_in = float(config.p_in_grid[0])

@@ -17,7 +17,7 @@ Three nested loops:
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
   masses.  Each round hands Frank-Wolfe (warm-started) the penalty's tangent
   at the current plan, one price per cluster, which makes the true penalized
-  objective non-increasing; at zero sparsity one round is the plain solve.
+  objective non-increasing; at zero sparsity it is :func:`fw_solve`.
 * :func:`bcd_fit` alternates closed-form connectivity updates with
   :func:`mm_solve` until the penalized objective stalls.  When the
   sparsity penalty is active it also proposes whole-cluster merges after
@@ -32,9 +32,10 @@ Outside Frank-Wolfe, every objective value is
 :func:`bcd_fit` computes once per plan; :func:`_refit` prices every plan it
 and the merge step see.  :func:`fw_solve` reads no summaries.
 
-The sparsity strength is the only setting; the iteration caps and
-relative stopping tolerances of the three loops are the module constants
-below, all applied by one relative-stall test.
+The sparsity strength is the only setting, and no solver takes a
+callback; the iteration caps and relative stopping tolerances of the
+three loops are the module constants below, all applied by one
+relative-stall test.  A lowered cap returns an intermediate iterate.
 
 ELBO helpers for the Bernoulli block model live here too, because the
 penalized objective and the variational bound are two views of the same
@@ -189,22 +190,18 @@ def _fw_core(
     theta: np.ndarray,
     t0: np.ndarray,
     prices: np.ndarray,
-    on_iterate=None,
 ) -> np.ndarray:
     """Frank-Wolfe on <cost(t), t> + <prices, column masses of t> over row-constrained plans.
 
     Applies the cost to ``t0`` and then once per iteration, to the vertex,
     through neighbour-label sums carried from one vertex to the next.
     Stops at the first step that leaves the plan unchanged, so it returns
-    ``t0`` itself when no step moves it.  ``on_iterate(t, obj)`` sees ``t0``
-    and every accepted iterate, with this objective.
+    ``t0`` itself when no step moves it.
     """
     n, k = t0.shape
     t = t0
     m = kernel.cost(t, theta)
-    obj = _check_finite(float(np.vdot(m, t)) + float(prices @ t.sum(axis=0)), "fw_solve")
-    if on_iterate is not None:
-        on_iterate(t, obj)
+    obj = _check_finite(float(np.vdot(m, t)) + float(prices @ t.sum(axis=0)), "a Frank-Wolfe step")
     rows = np.arange(n)
     unit = 1.0 / n
     cols = sums = None
@@ -233,9 +230,7 @@ def _fw_core(
         t = moved
         # the cost application is linear in the plan, so blend it too
         m = (1.0 - gamma) * m + gamma * mx
-        obj = _check_finite((a * gamma + b) * gamma + f0, "fw_solve")
-        if on_iterate is not None:
-            on_iterate(t, obj)
+        obj = _check_finite((a * gamma + b) * gamma + f0, "a Frank-Wolfe step")
         if _stalled(f0, obj, FW_REL_TOL):
             break
     return t
@@ -258,17 +253,17 @@ def _mm_core(
     t0: np.ndarray,
     summ0: tuple,
     sparsity: float,
-    on_iterate=None,
 ) -> tuple[np.ndarray, tuple]:
     """Majorize-minimize from ``t0`` (summaries ``summ0``); returns the plan and its summaries."""
     t, summ = t0, summ0
-    pen = _check_finite(summary_objective(summ, theta, kernel.loss, sparsity), "mm_solve")
+    where = "a majorize-minimize round"
+    pen = _check_finite(summary_objective(summ, theta, kernel.loss, sparsity), where)
     for _ in range(MM_MAX_ITERS if sparsity else 1):  # zero prices: one plain Frank-Wolfe run
-        moved = _fw_core(kernel, theta, t, penalty_linearization(t, sparsity), on_iterate)
+        moved = _fw_core(kernel, theta, t, penalty_linearization(t, sparsity))
         if moved is t:
             break
         t, summ = moved, kernel.pair_summaries(moved)
-        new_pen = _check_finite(summary_objective(summ, theta, kernel.loss, sparsity), "mm_solve")
+        new_pen = _check_finite(summary_objective(summ, theta, kernel.loss, sparsity), where)
         done = _stalled(pen, new_pen, MM_REL_TOL)
         pen = new_pen
         if done:
@@ -283,24 +278,19 @@ def mm_solve(
     plan0: TransportPlan,
     *,
     sparsity: float = 0.0,
-    on_iterate=None,
 ) -> TransportPlan:
     """Minimize objective plus sparsity penalty by majorize-minimize rounds.
 
     Each round replaces the concave penalty with its tangent at the
     current plan and runs Frank-Wolfe warm-started, stopping when the
-    true penalized objective stalls.  With ``sparsity == 0`` this is a
-    single plain Frank-Wolfe solve.
-
-    ``on_iterate(t, obj)`` sees the start and each accepted iterate of
-    every Frank-Wolfe run with that run's own objective, the round's tangent
-    prices (:func:`penalty_linearization`) included: never a penalized
-    objective or a merge score.
+    true penalized objective stalls.  With ``sparsity == 0`` this is
+    :func:`fw_solve`, which prices no plan.
     """
     sparsity = _check_sparsity(sparsity)
+    if not sparsity:
+        return fw_solve(adj, loss, conn, plan0)
     kernel, t0, theta = _checked_kernel(adj, loss, plan0, conn)
-    t, _ = _mm_core(kernel, theta, t0, kernel.pair_summaries(t0), sparsity, on_iterate)
-    return TransportPlan(t)
+    return TransportPlan(_mm_core(kernel, theta, t0, kernel.pair_summaries(t0), sparsity)[0])
 
 
 def bcd_fit(
@@ -331,7 +321,7 @@ def bcd_fit(
         conn, pen = _refit(summ, loss, sparsity)
         if sparsity > 0.0:
             t, summ, conn, pen = _merge_step(kernel, t, summ, conn, pen, sparsity=sparsity)
-        history.append(_check_finite(pen, "bcd_fit"))
+        history.append(_check_finite(pen, "an alternating-fit round"))
         if len(history) > 1 and _stalled(history[-2], pen, BCD_REL_TOL):
             break
     plan = TransportPlan(t)

@@ -29,7 +29,7 @@ from gwsbm import (
     run_lambda_sweep,
     selected_k,
 )
-from gwsbm import cli
+from gwsbm import cli, graphio, harness
 from gwsbm.cli import cli_dispatch
 from gwsbm.harness import (
     CONSISTENCY_COLUMNS,
@@ -39,8 +39,16 @@ from gwsbm.harness import (
     _parse_rows,
     _run_cells,
 )
+from gwsbm.baselines import vem_fit
+from gwsbm.initplans import spectral_init
 from gwsbm.losses import TransportPlan
-from gwsbm.sbm import PROPORTION_KINDS, SCENARIO_KINDS
+from gwsbm.sbm import (
+    PROPORTION_KINDS,
+    SCENARIO_KINDS,
+    balanced_proportions,
+    build_scenario,
+    sample_graph,
+)
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -155,6 +163,8 @@ class TestConfig:
             ("lambda-sweep", "k_search", 20, "k_search"),
             ("ari-sweep", "seeds", [0, -1], "seeds"),
             ("ari-sweep", "output_path", "a directory", "output_path"),
+            ("ari-sweep", "lambda", True, "lambda"),
+            ("lambda-sweep", "lambda_grid", [True, 2], "lambda_grid"),
         ],
     )
     def test_config_is_refused_before_any_cell_runs(self, tmp_path, capsys, kind, field, value,
@@ -194,6 +204,24 @@ class TestSweeps:
         parsed = _parse_rows(config.output_path)
         assert [r.seed for r in parsed] == [0, 1]
         assert all(np.isfinite(r.ari) for r in parsed)
+
+    def test_vem_and_spectral_only_sweeps(self, tmp_path):
+        """``vem`` rows carry the negated final bound of the fit they report;
+        ``spectral_only`` fits nothing, so its loss and θ error are NaN."""
+        common = dict(n=120, k_search=6, p_in_grid=[0.5], seeds=[0])
+        vem = run_ari_sweep(tiny_config(tmp_path, method="vem", **common))
+        spectral = run_ari_sweep(tiny_config(
+            tmp_path, method="spectral_only", output_path=str(tmp_path / "s.csv"), **common
+        ))
+        (row,) = vem
+        adj, _ = sample_graph(build_scenario("assortative", 2, 0.5, 0.05),
+                              balanced_proportions(2), 120, 0)
+        plan0 = spectral_init(adj, 6, 0)
+        assert row.final_loss == -vem_fit(adj, 6, plan0.matrix * 120).elbo
+        assert np.isfinite(row.theta_error) and 0.0 <= row.ari <= 1.0
+        (row,) = spectral
+        assert math.isnan(row.theta_error) and math.isnan(row.final_loss)
+        assert row.k_hat == selected_k(plan0) and 0.0 <= row.ari <= 1.0
 
     def test_sweep_deterministic_modulo_runtime(self, tmp_path):
         a = tiny_config(tmp_path, output_path=str(tmp_path / "a.csv"))
@@ -483,17 +511,20 @@ class TestCli:
         assert report["k_hat"] == 3
         assert report["degenerate"] is False
 
-    def test_fit_rejects_negative_penalty(self, tmp_path):
-        graph = tmp_path / "g.txt"
-        cli_dispatch(
-            ["sample", "--n", "20", "--k", "2", "--p-in", "0.3", "--p-out", "0.1",
-             "--out", str(graph)]
-        )
-        for bad in ("-1", "nan", "inf"):
+    def test_fit_rejects_negative_penalty(self, tmp_path, monkeypatch, capsys):
+        """A penalty that is not a finite nonnegative number exits 1 naming ``lambda``,
+        before the graph is read."""
+
+        def never(path):
+            raise AssertionError("read the graph")
+
+        monkeypatch.setattr(graphio, "read_edge_list", never)
+        for bad in ("-1", "nan", "inf", "abc"):
             code = cli_dispatch(
-                ["fit", "--graph", str(graph), "--k", "2", "--lambda", bad, "--out", str(tmp_path)]
+                ["fit", "--graph", "g.txt", "--k", "2", "--lambda", bad, "--out", str(tmp_path)]
             )
             assert code == 1, bad
+            assert capsys.readouterr().err.startswith("error: lambda must be"), bad
 
     def test_fit_missing_graph_fails_cleanly(self, tmp_path):
         code = cli_dispatch(
@@ -649,6 +680,28 @@ class TestCli:
         assert cli_dispatch(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "dir.cells").exists()
+
+    @pytest.mark.parametrize("case", ["read the graph", "write the output", "read the config"])
+    def test_paths_not_permitted_exit_1(self, tmp_path, monkeypatch, capsys, case):
+        """A path the process may not open is invalid input (exit 1), like a missing one."""
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        graph = tmp_path / "g.txt"
+        graph.write_text(self.STAR6)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(tiny_config(tmp_path).to_dict()))
+        fit = ["fit", "--graph", str(graph), "--k", "2", "--out", str(tmp_path / "fit")]
+        module, name, argv = {
+            "read the graph": (graphio, "open", fit),
+            "write the output": (tempfile, "mkstemp", fit),
+            "read the config": (harness, "open", ["experiment", "ari-sweep", "--config",
+                                                  str(config)]),
+        }[case]
+        monkeypatch.setattr(module, name, denied, raising=False)
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 13] Permission denied\n"
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

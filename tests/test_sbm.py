@@ -377,12 +377,15 @@ class TestGraphIO:
             ("3\n1 1\n", r"edge \(1, 1\) violates i < j"),
             ("3\n0 1\n2 1\n", r"edge \(2, 1\) violates i < j"),
             ("3\n2 -1\n", r"edge \(2, -1\) out of range for n=3"),
+            ("4\n0 1\n\n 2 9 \n", r"edge \(2, 9\) out of range for n=4"),
+            ("3\n\n  \n", []),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_edge_list_parse_table(self, tmp_path, text, expected):
-        """Blank lines are skipped, duplicate edges stored once, and every
-        malformed input raises ValueError naming the file and its first
-        faulty line in file order."""
+        """Blank lines are skipped, duplicate edges stored once, an edgeless body
+        reads without a warning, and every malformed input raises ValueError
+        naming the file and its first faulty line in file order."""
         path = tmp_path / "edges.txt"
         path.write_text(text)
         if isinstance(expected, str):
@@ -396,6 +399,25 @@ class TestGraphIO:
         for i, j in expected:
             want[i, j] = want[j, i] = 1.0
         assert np.array_equal(adj.entries, want)
+
+    def test_reader_memory_stays_below_three_and_a_half_csr_sizes(self, tmp_path):
+        """n=3000 at mean degree ~50: the body streams into the parser, so the traced
+        peak stays near the parsed pairs and the CSR (3.32x its bytes), with no
+        whole-file string or in-memory copy of it (3.70x)."""
+        n = 3000
+        adj, _ = sample_graph(build_scenario("assortative", 3, 1 / 30, 1 / 120),
+                              balanced_proportions(3), n, seed=0)
+        path = tmp_path / "graph.txt"
+        graphio.write_edge_list(adj, path)
+        tracemalloc.start()
+        try:
+            back = graphio.read_edge_list(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        csr = back.csr
+        assert_same_csr(back, adj)
+        assert peak <= 3.5 * (csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes)
 
     def test_labels_roundtrip(self, tmp_path):
         labels = Labels(np.array([2, 0, 1, 2]), 4)

@@ -15,6 +15,7 @@ from gwsbm import (
     bcd_fit,
     closed_form_connectivity,
     column_mass_penalty,
+    cost_application,
     elbo_value,
     entropic_objective,
     exact_log_likelihood,
@@ -117,20 +118,25 @@ class TestFrankWolfe:
             )
             assert solver_best <= oracle_best + 1e-9
 
-    def test_objective_monotone_and_iterates_feasible(self):
+    def test_objective_monotone_and_iterates_feasible(self, monkeypatch):
+        """Iterate i is what ``fw_solve`` returns with its cap at i: a feasible plan
+        (``TransportPlan`` checks its rows), and the objective never rises from one
+        iterate to the next up to the full solve."""
         rng = np.random.default_rng(3)
         adj = oracles.random_binary_graph(rng, 30)
         theta = oracles.random_theta(rng, 4)
+        loss, plan0 = make_loss("bernoulli_nll"), uniform_plan(30, 4)
+        full = fw_solve(adj, loss, theta, plan0)
         seen = []
-
-        def watch(t, obj):
-            n = t.shape[0]
-            assert np.all(t >= -1e-15)
-            np.testing.assert_allclose(t.sum(axis=1), np.full(n, 1 / n), atol=1e-10)
-            seen.append(obj)
-
-        mm_solve(adj, make_loss("bernoulli_nll"), theta, uniform_plan(30, 4), on_iterate=watch)
-        assert len(seen) >= 2
+        for cap in range(solver.FW_MAX_ITERS + 1):
+            monkeypatch.setattr(solver, "FW_MAX_ITERS", cap)
+            t = fw_solve(adj, loss, theta, plan0)
+            assert isinstance(t, TransportPlan)
+            seen.append(srgw_objective(adj, t, theta, loss))
+            if np.array_equal(t.matrix, full.matrix):
+                break
+        assert np.array_equal(t.matrix, full.matrix)
+        assert len(seen) >= 3
         assert np.all(np.diff(seen) <= 1e-12)
 
     def test_column_relabeling_equivariance(self):
@@ -151,8 +157,10 @@ class TestFrankWolfe:
 
     def test_shape_mismatch_rejected(self):
         adj, theta = one_edge_instance()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="disagree on n"):
             fw_solve(adj, make_loss("bernoulli_nll"), theta, uniform_plan(3, 2))
+        with pytest.raises(ValueError, match="disagree on k"):
+            fw_solve(adj, make_loss("bernoulli_nll"), theta, uniform_plan(2, 3))
 
     def test_one_cost_application_per_iteration(self, monkeypatch):
         """On the README quick-start fit, each Frank-Wolfe run applies the
@@ -188,15 +196,10 @@ class TestFrankWolfe:
                 stack[-1]["calls"].append(("objective", None))
             return real_objective(self, t, theta)
 
-        def fw_core(kernel, theta, t0, prices, on_iterate=None):
-            run = {"t0": np.array(t0), "calls": [], "steps": 0}
-
-            def count_step(t, obj):
-                run["steps"] += 1
-
-            stack.append(run)
+        def fw_core(kernel, theta, t0, prices):
+            stack.append({"t0": np.array(t0), "calls": []})
             try:
-                return real_core(kernel, theta, t0, prices, count_step)
+                return real_core(kernel, theta, t0, prices)
             finally:
                 runs.append(stack.pop())
 
@@ -218,10 +221,6 @@ class TestFrankWolfe:
             for x in vertices:
                 assert np.array_equal(np.count_nonzero(x, axis=1), np.ones(n))
                 assert np.all(x.sum(axis=1) == 1.0 / n)
-            iterations = len(vertices)
-            # on_iterate fires for the start and each accepted step; at most
-            # the last iteration is a rejected (zero) step
-            assert run["steps"] - 1 <= iterations <= run["steps"]
 
     def test_label_sums_are_built_once_per_run(self, monkeypatch):
         """From a random hard start, Frank-Wolfe's first steps relabel a third or
@@ -265,9 +264,9 @@ class TestFrankWolfe:
         plan0 = spectral_init(adj, k, seed=0)
         calls, real_core = [], solver._fw_core
 
-        def fw_core(kernel, theta, t0, prices, on_iterate=None):
+        def fw_core(kernel, theta, t0, prices):
             calls.append((np.array(t0), prices))
-            return real_core(kernel, theta, t0, prices, on_iterate)
+            return real_core(kernel, theta, t0, prices)
 
         def check_prices(prices):
             assert isinstance(prices, np.ndarray)
@@ -298,7 +297,8 @@ class TestMajorizeMinimize:
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_plain_solve_reads_no_pair_summaries(self, monkeypatch):
-        """``fw_solve`` is one Frank-Wolfe run: it prices no plan from its summaries."""
+        """``fw_solve``, and ``mm_solve`` without penalty, is one Frank-Wolfe run:
+        it prices no plan from its summaries."""
         calls, real = [], CostKernel.pair_summaries
 
         def counting(kernel, t):
@@ -308,9 +308,12 @@ class TestMajorizeMinimize:
         monkeypatch.setattr(CostKernel, "pair_summaries", counting)
         conn = build_scenario("assortative", 3, 0.2, 0.03)
         adj, _ = sample_graph(conn, balanced_proportions(3), 200, seed=0)
-        out = fw_solve(adj, make_loss("bernoulli_nll"), conn, spectral_init(adj, 3, seed=0))
+        loss, plan0 = make_loss("bernoulli_nll"), spectral_init(adj, 3, seed=0)
+        out = fw_solve(adj, loss, conn, plan0)
         assert calls == []
-        assert not np.array_equal(out.matrix, spectral_init(adj, 3, seed=0).matrix)
+        assert not np.array_equal(out.matrix, plan0.matrix)
+        assert np.array_equal(mm_solve(adj, loss, conn, plan0, sparsity=0.0).matrix, out.matrix)
+        assert calls == []
 
     def test_dominant_penalty_leaves_one_cluster(self):
         conn = build_scenario("assortative", 4, 0.3, 0.05)
@@ -321,42 +324,36 @@ class TestMajorizeMinimize:
         assert q[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(q[:-1] <= 1e-12)
 
-    def test_penalized_objective_monotone_across_snapshots(self):
+    def test_penalized_objective_monotone_across_snapshots(self, monkeypatch):
         scenario = build_scenario("assortative", 3, 0.35, 0.05)
         adj, _ = sample_graph(scenario, balanced_proportions(3), 50, seed=7)
         loss = make_loss("bernoulli_nll")
         plan0 = spectral_init(adj, 6, seed=7)
         conn = closed_form_connectivity(adj, plan0, loss)
         lam = 0.05
-        values = []
 
-        def watch(t, _obj):
-            assert np.all(t >= -1e-15)
-            np.testing.assert_allclose(t.sum(axis=1), np.full(50, 1 / 50), atol=1e-10)
-            pen = srgw_objective(adj, t, conn, loss) + lam * column_mass_penalty(t)
-            values.append(pen)
+        def snapshots(cap_name):
+            """The penalized objective of ``mm_solve`` with the cap ``cap_name`` at
+            0, 1, ... until it returns the plan it returns under the module's cap."""
+            full_cap = getattr(solver, cap_name)
+            full = mm_solve(adj, loss, conn, plan0, sparsity=lam).matrix
+            values = []
+            for cap in range(full_cap + 1):
+                monkeypatch.setattr(solver, cap_name, cap)
+                t = mm_solve(adj, loss, conn, plan0, sparsity=lam).matrix
+                values.append(srgw_objective(adj, t, conn, loss) + lam * column_mass_penalty(t))
+                if np.array_equal(t, full):
+                    break
+            monkeypatch.setattr(solver, cap_name, full_cap)
+            assert np.array_equal(t, full)
+            return values
 
-        mm_solve(adj, loss, conn, plan0, sparsity=lam, on_iterate=watch)
-        assert len(values) >= 2
-        assert np.all(np.diff(values) <= 1e-10)
-
-    def test_first_iterate_sees_the_start_objective_with_its_prices(self):
-        """Frank-Wolfe's start objective is the plan's objective plus the tangent
-        prices times the cluster masses, as summaries and prices give it."""
-        scenario = build_scenario("assortative", 3, 0.35, 0.05)
-        adj, _ = sample_graph(scenario, balanced_proportions(3), 50, seed=7)
-        loss = make_loss("bernoulli_nll")
-        plan0 = spectral_init(adj, 6, seed=7)
-        conn = closed_form_connectivity(adj, plan0, loss)
-        lam = 0.05
-        seen = []
-        mm_solve(adj, loss, conn, plan0, sparsity=lam, on_iterate=lambda t, obj: seen.append(obj))
-        t0 = plan0.matrix
-        summ = CostKernel(adj, loss).pair_summaries(t0)
-        prices = penalty_linearization(t0, lam)
-        expected = summary_objective(summ, loss.prepare_theta(conn), loss) + prices @ summ[2]
-        assert prices.any()
-        assert seen[0] == pytest.approx(expected, rel=1e-12)
+        rounds = snapshots("MM_MAX_ITERS")
+        monkeypatch.setattr(solver, "MM_MAX_ITERS", 1)
+        first_round = snapshots("FW_MAX_ITERS")
+        assert len(rounds) >= 2 and len(first_round) >= 3
+        for values in (rounds, first_round):
+            assert np.all(np.diff(values) <= 1e-10)
 
 
 class TestClusterMerges:
@@ -498,7 +495,67 @@ class TestAlternatingFit:
         assert result.degenerate
 
 
+class TestNonFiniteGuards:
+    """The squared loss on one edge of weight 1e200 overflows ``f1(a) = a**2``."""
+
+    @pytest.fixture
+    def overflow(self):
+        a = np.zeros((4, 4))
+        a[0, 1] = a[1, 0] = 1e200
+        theta = ConnectivityMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield AdjacencyMatrix(a), make_loss("squared"), theta, uniform_plan(4, 2)
+
+    def test_evaluators_raise_floating_point_error(self, overflow):
+        adj, loss, theta, plan = overflow
+        with pytest.raises(FloatingPointError, match="non-finite objective"):
+            srgw_objective(adj, plan, theta, loss)
+        with pytest.raises(FloatingPointError, match="non-finite cost"):
+            cost_application(adj, plan, theta, loss)
+
+    @pytest.mark.parametrize("call, phase", [
+        ("fw_solve", "a Frank-Wolfe step"),
+        ("mm_solve", "a majorize-minimize round"),
+        ("bcd_fit", "a majorize-minimize round"),
+        ("penalized bcd_fit", "a majorize-minimize round"),
+    ])
+    def test_solvers_raise_solver_error_naming_the_phase(self, overflow, call, phase):
+        """The message names the loop that met the value, not a public function."""
+        adj, loss, theta, plan = overflow
+        solve = {
+            "fw_solve": lambda: fw_solve(adj, loss, theta, plan),
+            "mm_solve": lambda: mm_solve(adj, loss, theta, plan, sparsity=0.1),
+            "bcd_fit": lambda: bcd_fit(adj, loss, plan),
+            "penalized bcd_fit": lambda: bcd_fit(adj, loss, plan, sparsity=0.1),
+        }[call]
+        with pytest.raises(solver.SolverError, match=f"non-finite objective in {phase};"):
+            solve()
+
+    def test_elbo_raises_floating_point_error(self):
+        """A weight of 1e308 overflows the Bernoulli pair sums behind the bound."""
+        a = np.zeros((4, 4))
+        a[0, 1] = a[1, 0] = 1e308
+        theta = ConnectivityMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite objective"):
+            elbo_value(np.full((4, 2), 0.5), AdjacencyMatrix(a), theta, Proportions([0.5, 0.5]))
+
+
 class TestBoundEvaluators:
+    @pytest.mark.parametrize("resp, k, weights, message", [
+        (np.full(4, 0.5), 2, [0.5, 0.5], "must be 2-d"),
+        (np.array([[1.5, -0.5]] * 4), 2, [0.5, 0.5], "probability vectors"),
+        (np.full((4, 2), 0.4), 2, [0.5, 0.5], "probability vectors"),
+        (np.full((4, 2), 0.5), 3, [0.5, 0.5], "disagree on k"),
+        (np.full((4, 2), 0.5), 2, [0.5, 0.5, 0.0], "disagree on k"),
+        (np.full((4, 2), 0.5), 2, [1.0, 0.0], "zero prior mass"),
+    ])
+    def test_elbo_refuses_inconsistent_inputs(self, resp, k, weights, message):
+        adj = oracles.random_binary_graph(np.random.default_rng(19), 4)
+        conn = ConnectivityMatrix(np.full((k, k), 0.3))
+        with pytest.raises(ValueError, match=message):
+            elbo_value(resp, adj, conn, Proportions(np.array(weights)))
+
     def test_elbo_accepts_an_empty_cluster_without_prior_mass(self):
         """A cluster with zero prior weight and no responsibility changes nothing."""
         rng = np.random.default_rng(18)
