@@ -30,6 +30,10 @@ ALPHA_FLOOR = 1e-8
 VEM_MAX_ITERS = 100
 VEM_REL_TOL = 1e-7
 
+#: Bracket width at which :func:`_golden_max` stops, and its iteration cap.
+GOLDEN_TOL = 1e-9
+GOLDEN_MAX_ITERS = 200
+
 
 @dataclass
 class VemState:
@@ -228,15 +232,15 @@ def _toward_vertex(w: np.ndarray, axis: int, t: float) -> np.ndarray | None:
     return out / out.sum()
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9, max_iters: int = 200):
+def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization of a unimodal scalar function."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iters):
-        if b - a < tol:
+    for _ in range(GOLDEN_MAX_ITERS):
+        if b - a < GOLDEN_TOL:
             break
         if fc > fd:
             b, d, fd = d, c, fc

@@ -19,7 +19,6 @@ from . import graphio
 from .baselines import RESTART_CAP, _guard_enumeration, brute_force_srgw, restarted_fw_minimum
 from .harness import (
     ExperimentConfig,
-    _check_lambda,
     auto_sparsity,
     run_ari_sweep,
     run_consistency,
@@ -35,7 +34,7 @@ from .sbm import (
     sample_graph,
 )
 from .selftest import run_selftest
-from .solver import bcd_fit
+from .solver import _check_sparsity, bcd_fit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,7 +102,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_fit(args) -> int:
     # a bad --lambda is refused before the graph is read
-    sparsity = args.sparsity if args.sparsity == "auto" else _check_lambda(args.sparsity)
+    sparsity = args.sparsity
+    if sparsity != "auto":
+        try:
+            sparsity = float(sparsity)
+        except ValueError:
+            pass  # text that is no number is refused as text
+        sparsity = _check_sparsity(sparsity, "lambda")
     adj = graphio.read_edge_list(args.graph)
     if sparsity == "auto":
         sparsity = auto_sparsity(args.k, adj.n)

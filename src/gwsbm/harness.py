@@ -40,14 +40,6 @@ METHOD_LOSS = {"srgw_nll": "bernoulli_nll", "srgw_l2": "squared", "vem": "bernou
 _EXTERNAL_NAMES = {"sparsity": "lambda", "sparsity_grid": "lambda_grid"}
 
 
-def _check_lambda(value, name: str = "lambda") -> float:
-    """A penalty strength from a config or the CLI (not a bool); a refusal calls it ``name``."""
-    try:
-        return _check_sparsity(None if isinstance(value, bool) else value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}") from None
-
-
 def auto_sparsity(k_search: int, n: int) -> float:
     """Default penalty strength: half the searched width per node pair."""
     return k_search / (2.0 * n)
@@ -111,14 +103,15 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"p_in_grid[{i}] = {p_in!r} with p_out {self.p_out!r}: {exc}")
         if self.sparsity_grid is not None:
-            grid = [_check_lambda(x, f"lambda_grid[{i}]") for i, x in enumerate(self.sparsity_grid)]
+            grid = [_check_sparsity(x, f"lambda_grid[{i}]")
+                    for i, x in enumerate(self.sparsity_grid)]
             if grid != sorted(grid):
                 raise ValueError("lambda_grid must be ascending")
         if isinstance(self.sparsity, str):
             if self.sparsity != "auto":
                 raise ValueError("lambda must be a number, 'auto', or null")
         elif self.sparsity is not None:
-            _check_lambda(self.sparsity)
+            _check_sparsity(self.sparsity, "lambda")
 
     def resolved_sparsity(self) -> float:
         if self.sparsity == "auto":
@@ -346,10 +339,11 @@ def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int 
         for key, cell_fn, params in cells
         if not (cells_dir / f"{key}.csv").exists()
     ]
-    n_jobs = max(1, jobs or 1)
+    # the pool starts all its workers at once, so it gets no more than there are cells
+    n_jobs = min(jobs or 1, len(pending))
     with ExitStack() as stack:
         mapper = map
-        if pending and n_jobs > 1:
+        if n_jobs > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=n_jobs)).map
         for key, text in mapper(_compute_cell, pending):
             graphio._atomic_write_text(cells_dir / f"{key}.csv", text)

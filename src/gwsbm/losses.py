@@ -48,7 +48,7 @@ LOSS_KINDS = ("squared", "bernoulli_nll", "poisson_nll", "exponential_nll")
 #: Row sums of a transport plan must match 1/n this tightly.
 ROW_SUM_TOL = 1e-10
 
-#: Pair-mass floor below which a closed-form connectivity cell is inactive.
+#: Pair-mass floor at or below which a closed-form connectivity cell is unsupported.
 DENOMINATOR_FLOOR = 1e-12
 
 
@@ -86,21 +86,19 @@ class CompositeLoss:
         """Extract loss-appropriate connectivity values.
 
         ``ConnectivityMatrix`` inputs are clipped into ``theta_clamp``.
-        Plain arrays are taken as-is: they must be valid (clamped upstream)
-        and exactly symmetric, as Frank-Wolfe's gradient ``2 cost`` needs.
+        Plain arrays are taken as-is once they pass the
+        ``ConnectivityMatrix`` checks (square, finite and exactly
+        symmetric, as Frank-Wolfe's gradient ``2 cost`` needs) and lie in
+        the loss domain: they must be clamped upstream.
         """
         if isinstance(conn, ConnectivityMatrix):
             return np.clip(conn.raw, *self.theta_clamp)
-        vals = np.asarray(conn, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError("connectivity values must form a square matrix")
+        vals = ConnectivityMatrix(conn).raw
         if not self.contains(vals):
             raise ValueError(
                 f"connectivity entries escape the {self.kind} domain; "
                 "clamp them upstream"
             )
-        if not np.array_equal(vals, vals.T):
-            raise ValueError("connectivity must be symmetric")
         return vals
 
 
@@ -311,7 +309,7 @@ class CostKernel:
 
     def connectivity(self, t: np.ndarray) -> ConnectivityMatrix:
         """Closed-form connectivity at plan ``t``."""
-        return ConnectivityMatrix(*theta_from_summaries(self.pair_summaries(t), self.loss))
+        return ConnectivityMatrix(theta_from_summaries(self.pair_summaries(t), self.loss))
 
 
 def column_mass_penalty(plan) -> float:
@@ -375,19 +373,19 @@ def srgw_objective(adj, plan, conn, loss: CompositeLoss) -> float:
     return value
 
 
-def theta_from_summaries(summ: tuple, loss: CompositeLoss) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form connectivity values and inactive mask from pair summaries.
+def theta_from_summaries(summ: tuple, loss: CompositeLoss) -> np.ndarray:
+    """Closed-form connectivity values from pair summaries.
 
     Each cell is ``theta_inverse_map`` of the weighted mean ``s / d``,
     clipped into the loss clamp interval.  Cells whose pair mass is at most
-    ``DENOMINATOR_FLOOR`` carry no information: they are set to 0.5 and
-    flagged in the returned mask.
+    ``DENOMINATOR_FLOOR`` carry no information: they hold the placeholder
+    0.5.
     """
     s, d = summ[:2]
-    inactive = d <= DENOMINATOR_FLOOR
-    ratio = s / np.where(inactive, 1.0, d)
+    unsupported = d <= DENOMINATOR_FLOOR
+    ratio = s / np.where(unsupported, 1.0, d)
     theta = np.clip(np.asarray(loss.theta_inverse_map(ratio), dtype=np.float64), *loss.theta_clamp)
-    return np.where(inactive, 0.5, theta), inactive
+    return np.where(unsupported, 0.5, theta)
 
 
 def closed_form_connectivity(adj, plan, loss: CompositeLoss) -> ConnectivityMatrix:

@@ -7,6 +7,7 @@ Graphs are undirected, simple (zero diagonal) and stored as sparse CSR.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +133,12 @@ class ConnectivityMatrix:
     """Symmetric cluster-to-cluster connectivity values.
 
     ``raw`` keeps the values exactly as supplied or as a closed-form update
-    made them; a loss clamps them where it reads them
-    (:meth:`gwsbm.losses.CompositeLoss.prepare_theta`).  ``inactive``
-    optionally marks cells whose update had no supporting pair mass.
+    made them: a square, nonempty, finite and exactly symmetric read-only
+    array.  A loss clamps them where it reads them
+    (:meth:`gwsbm.losses.CompositeLoss.prepare_theta`).
     """
 
     raw: np.ndarray
-    inactive: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.raw, dtype=np.float64)
@@ -147,36 +147,23 @@ class ConnectivityMatrix:
         if not np.isfinite(arr).all():
             raise ValueError("connectivity entries must be finite")
         if not np.array_equal(arr, arr.T):
-            raise ValueError("connectivity matrix must be symmetric")
+            raise ValueError("connectivity must be symmetric")
         object.__setattr__(self, "raw", _readonly(arr))
-        if self.inactive is not None:
-            mask = np.asarray(self.inactive, dtype=bool)
-            if mask.shape != arr.shape:
-                raise ValueError("inactive mask shape mismatch")
-            object.__setattr__(self, "inactive", _readonly(mask, dtype=bool))
 
     @property
     def k(self) -> int:
         return self.raw.shape[0]
 
     def has_distinct_profiles(self) -> bool:
-        """True when no two live clusters share an identical row (and column).
+        """True when no two clusters share an identical row (and column).
 
-        Identical profiles make clusters statistically indistinguishable,
-        so a fit whose connectivity fails this check is degenerate.  Rows
-        tie only when equal bit for bit; a tolerance for near-ties would be
-        a guessed constant.  Rows whose cells are all ``inactive`` belong to
-        clusters without mass; they hold the neutral placeholder and are
-        left out of the check.
+        Identical profiles make clusters statistically indistinguishable.
+        Rows tie only when equal bit for bit; a tolerance for near-ties
+        would be a guessed constant.  Every row is compared: a fit leaves
+        its clusters without mass out itself (see
+        :attr:`gwsbm.solver.FitResult.degenerate`).
         """
-        rows = self.raw
-        if self.inactive is not None:
-            rows = rows[~self.inactive.all(axis=1)]
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                if np.array_equal(rows[a], rows[b]):
-                    return False
-        return True
+        return not any(np.array_equal(a, b) for a, b in itertools.combinations(self.raw, 2))
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,14 @@ quantity (see :func:`entropic_objective`).
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import (
+    DENOMINATOR_FLOOR,
     CompositeLoss,
     CostKernel,
     TransportPlan,
@@ -80,12 +82,14 @@ BCD_REL_TOL = 1e-8
 MASS_FLOOR = 1e-16
 
 
-def _check_sparsity(sparsity) -> float:
-    """The penalty strength as a float; it must be finite and nonnegative."""
-    sparsity = float(sparsity)
-    if not (np.isfinite(sparsity) and sparsity >= 0.0):
-        raise ValueError(f"sparsity must be finite and nonnegative, got {sparsity}")
-    return sparsity
+def _check_sparsity(value, name: str = "sparsity") -> float:
+    """A penalty strength as a float: a real number, not a bool or text, finite and
+    nonnegative.  A refusal calls it ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    number = float(value) if real else np.nan
+    if not (np.isfinite(number) and number >= 0.0):
+        raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+    return number
 
 
 @dataclass
@@ -97,6 +101,9 @@ class FitResult:
     exceeds 1e-6.  ``degenerate`` is set when the graph has no edges or
     two live clusters share a connectivity profile bit for bit; near-ties
     count as distinct (see :meth:`ConnectivityMatrix.has_distinct_profiles`).
+    A cluster is live when some cell of its row in the final plan's pair
+    mass exceeds ``DENOMINATOR_FLOOR``; a dead one's row is the 0.5
+    placeholder and never counts as a tie.
     """
 
     plan: TransportPlan
@@ -128,7 +135,7 @@ def _merge_rowcol(mat: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def _refit(summ: tuple, loss: CompositeLoss, sparsity: float) -> tuple[ConnectivityMatrix, float]:
     """Closed-form connectivity of the plan with pair summaries ``summ``, and the score there."""
-    conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
+    conn = ConnectivityMatrix(theta_from_summaries(summ, loss))
     return conn, summary_objective(summ, conn.raw, loss, sparsity)
 
 
@@ -326,6 +333,8 @@ def bcd_fit(
             break
     plan = TransportPlan(t)
     runtime_ms = (time.perf_counter() - start) * 1e3
+    # dead rows and columns hold the placeholder 0.5, so live rows tie where their live columns do
+    live = ~np.all(summ[1] <= DENOMINATOR_FLOOR, axis=1)
     return FitResult(
         plan=plan,
         connectivity=conn,
@@ -333,7 +342,8 @@ def bcd_fit(
         k_hat=selected_k(plan),
         labels=hard_labels(plan),
         runtime_ms=runtime_ms,
-        degenerate=kernel.a.nnz == 0 or not conn.has_distinct_profiles(),
+        degenerate=kernel.a.nnz == 0
+        or not ConnectivityMatrix(conn.raw[np.ix_(live, live)]).has_distinct_profiles(),
     )
 
 

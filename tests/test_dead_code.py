@@ -1,9 +1,11 @@
 """Dead-code checks on the package source, using only the standard library.
 
-No linter ships with the project, so these two rules are enforced here:
+No linter ships with the project, so these three rules are enforced here:
 every import in ``src/gwsbm`` is used (the package root's re-exports
-excepted), and every module-level ``_private`` function or constant and
-every method of a class is read somewhere in ``src/`` or ``tests/``.
+excepted), every module-level ``_private`` function or constant and
+every method of a class is read somewhere in ``src/`` or ``tests/``, and
+every defaulted parameter of a module-level ``_private`` function is
+passed by some call there.
 """
 
 import ast
@@ -88,3 +90,42 @@ def test_private_functions_are_referenced():
             if name not in used:
                 dead.append(f"{path.name}:{line}: {name}")
     assert not dead, "unreferenced private functions, constants or methods:\n" + "\n".join(dead)
+
+
+def _defaulted_parameters(func: ast.FunctionDef):
+    """(name, position) of the parameters with defaults; keyword-only ones have position None."""
+    positional = func.args.posonlyargs + func.args.args
+    for position in range(len(positional) - len(func.args.defaults), len(positional)):
+        yield positional[position].arg, position
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` may pass the parameter ``name``; unpacked arguments count as passing."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_defaulted_parameters_of_private_functions_are_passed():
+    """A default that no call overrides is a constant spelled as a parameter."""
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not (isinstance(node, ast.FunctionDef) and _is_private(node.name)):
+                continue
+            for name, position in _defaulted_parameters(node):
+                if not any(_passes(call, name, position) for call in calls.get(node.name, [])):
+                    dead.append(f"{path.name}:{node.lineno}: {node.name}({name}=...)")
+    assert not dead, "defaulted parameters no call passes:\n" + "\n".join(dead)

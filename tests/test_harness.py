@@ -165,6 +165,7 @@ class TestConfig:
             ("ari-sweep", "output_path", "a directory", "output_path"),
             ("ari-sweep", "lambda", True, "lambda"),
             ("lambda-sweep", "lambda_grid", [True, 2], "lambda_grid"),
+            ("lambda-sweep", "lambda_grid", ["0.1", "0.2"], "lambda_grid[0]"),
         ],
     )
     def test_config_is_refused_before_any_cell_runs(self, tmp_path, capsys, kind, field, value,
@@ -352,6 +353,42 @@ class TestSweeps:
         assert [(r.n, r.seed, r.plan_l1_error) for r in again] == [
             (r.n, r.seed, r.plan_l1_error) for r in first
         ]
+
+    def test_pool_gets_no_more_workers_than_pending_cells(self, tmp_path, monkeypatch):
+        """A pool starts all its workers at once, so ``jobs`` above the cells left to
+        compute asks for one worker per pending cell, and a single pending cell
+        runs without a pool."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        config = tiny_config(tmp_path, p_in_grid=[0.3, 0.4, 0.5], seeds=[0])
+        run_ari_sweep(config, jobs=5000)
+        assert pools == [3]
+        (tmp_path / "out.csv.cells" / "ari_srgw_nll_pin0.4.csv").unlink()
+        run_ari_sweep(config, jobs=5000)
+        assert pools == [3]
+
+    def test_parallel_cells_match_serial_ones(self, tmp_path):
+        """Two worker processes write the same rows as one process does."""
+        serial = tiny_config(tmp_path / "serial", p_in_grid=[0.3, 0.4], seeds=[0])
+        parallel = tiny_config(tmp_path / "parallel", p_in_grid=[0.3, 0.4], seeds=[0])
+        for config, jobs in ((serial, 1), (parallel, 2)):
+            Path(config.output_path).parent.mkdir()
+            run_ari_sweep(config, jobs=jobs)
+        assert strip_runtime(parallel.output_path) == strip_runtime(serial.output_path)
 
 
 class TestCsvCodec:
@@ -756,7 +793,7 @@ class TestCli:
             "loss": ["no_such_loss", "squared", None],
             "method": ["no_such_method", "srgw_l2", "spectral_only", 1],
             "lambda": [-1.0, float("inf"), "half", [0.1], True],
-            "lambda_grid": [[], [0.1, 0.1], [0.1, 0.0], [-1.0], ["x"], 0.1],
+            "lambda_grid": [[], [0.1, 0.1], [0.1, 0.0], [-1.0], ["x"], ["0.1"], 0.1],
             "proportions": ["no_such_proportions", 0],
             "n_grid": [[], [12, 12], [1], [12.0], [True], 12],
             "no_such_field": [1],

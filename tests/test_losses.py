@@ -396,16 +396,14 @@ class TestClosedFormConnectivity:
                 other = oracles.random_theta(rng, 3)
                 assert value_at_best <= srgw_objective(adj, plan, other, loss) + 1e-12
 
-    def test_dead_column_cells_neutral_and_flagged(self):
+    def test_dead_column_cells_hold_the_placeholder(self):
         a = np.zeros((4, 4))
         a[0, 1] = a[1, 0] = 1.0
         plan = np.zeros((4, 3))
         plan[:, 0] = 0.25  # column 1 and 2 carry no mass
         conn = closed_form_connectivity(AdjacencyMatrix(a), plan, make_loss("squared"))
-        assert conn.inactive is not None
-        assert not conn.inactive[0, 0]
-        assert conn.inactive[1, 1] and conn.inactive[0, 1] and conn.inactive[2, 2]
-        assert conn.raw[1, 1] == 0.5 and conn.raw[0, 2] == 0.5
+        assert conn.raw[0, 0] == pytest.approx(1 / 6)
+        assert np.all(conn.raw[1:] == 0.5) and np.all(conn.raw[:, 1:] == 0.5)
 
     def test_kernel_connectivity_is_the_same_formula(self):
         """The kernel gives exactly the module function's result."""
@@ -414,13 +412,12 @@ class TestClosedFormConnectivity:
             loss = make_loss(kind)
             adj = oracles.graph_for_loss(rng, 9, kind)
             t = oracles.random_plan(rng, 9, 4).matrix.copy()
-            t[:, 3] = 0.0  # a dead column exercises the inactive cells
+            t[:, 3] = 0.0  # a dead column exercises the unsupported cells
             t[:, 0] += 1.0 / 9 - t.sum(axis=1)
             expected = closed_form_connectivity(adj, t, loss)
             got = CostKernel(adj, loss).connectivity(t)
             assert np.array_equal(got.raw, expected.raw)
-            assert np.array_equal(got.inactive, expected.inactive)
-            assert expected.inactive[3].all()
+            assert np.all(expected.raw[3] == 0.5) and np.all(expected.raw[:, 3] == 0.5)
 
     def test_always_symmetric(self):
         rng = np.random.default_rng(29)

@@ -62,20 +62,15 @@ def test_distinct_profiles_flag():
     # a 2-cluster hub makes both rows (p_in, p_in): indistinguishable
     assert not build_scenario("hub", 2, 0.2, 0.03).has_distinct_profiles()
     assert not ConnectivityMatrix(np.full((2, 2), 0.4)).has_distinct_profiles()
-    # dead clusters: all-inactive rows hold the 0.5 placeholder and are ignored
+    # ties are exact: two rows one ulp apart are distinct
+    near = np.full((2, 2), 0.4)
+    near[1, 1] = np.nextafter(0.4, 1.0)
+    assert ConnectivityMatrix(near).has_distinct_profiles()
+    # every row counts, placeholder rows too: a fit leaves its dead clusters out itself
     theta = np.full((4, 4), 0.5)
     theta[:2, :2] = [[0.3, 0.05], [0.05, 0.4]]
-    dead = np.ones((4, 4), dtype=bool)
-    dead[:2, :2] = False
-    assert ConnectivityMatrix(theta, inactive=dead).has_distinct_profiles()
-    # ...but two live clusters that tie still flag
-    tied = theta.copy()
-    tied[:2, :2] = 0.3
-    assert not ConnectivityMatrix(tied, inactive=dead).has_distinct_profiles()
-    # ties are exact: two live rows one ulp apart are distinct
-    near = tied.copy()
-    near[1, 1] = np.nextafter(0.3, 1.0)
-    assert ConnectivityMatrix(near, inactive=dead).has_distinct_profiles()
+    assert not ConnectivityMatrix(theta).has_distinct_profiles()
+    assert ConnectivityMatrix(theta[:2, :2]).has_distinct_profiles()
 
 
 def test_unbalanced_proportions_values():

@@ -1,5 +1,7 @@
 """Plan solvers: descent, penalty handling, merges, and bound evaluators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,14 @@ def test_penalty_linearization_edge_cases():
     dead = labels_to_plan(Labels(np.zeros(4, dtype=np.int64), 1), k=2)
     r = penalty_linearization(dead, 2.0)
     assert r[1] == pytest.approx(2.0 / (2.0 * 1e-8))  # floored at 1e-16 mass
+
+
+@pytest.mark.parametrize("bad", ["0.05", True, np.True_, -1.0, np.nan, np.inf, None])
+def test_sparsity_must_be_a_finite_nonnegative_real(bad):
+    """Text and booleans are refused, not read through ``float``."""
+    adj, _ = one_edge_instance()
+    with pytest.raises(ValueError, match="sparsity must be a finite nonnegative number"):
+        bcd_fit(adj, make_loss("bernoulli_nll"), uniform_plan(2, 2), sparsity=bad)
 
 
 class TestFrankWolfe:
@@ -374,7 +384,7 @@ class TestClusterMerges:
         loss, adj, t, _ = instance
         kernel = CostKernel(adj, loss)
         summ = kernel.pair_summaries(t)
-        conn = ConnectivityMatrix(*theta_from_summaries(summ, loss))
+        conn = ConnectivityMatrix(theta_from_summaries(summ, loss))
         score = summary_objective(summ, loss.prepare_theta(conn), loss, lam)
         closed = closed_form_connectivity(adj, t, loss)
         assert np.array_equal(conn.raw, closed.raw)
@@ -493,6 +503,42 @@ class TestAlternatingFit:
         adj = AdjacencyMatrix(np.zeros((12, 12)))
         result = bcd_fit(adj, make_loss("bernoulli_nll"), uniform_plan(12, 3), sparsity=0.01)
         assert result.degenerate
+
+    @staticmethod
+    def fit_two_of_four_columns(pairs, weight=lambda i, j: 1.0):
+        """Squared-loss fit at zero sparsity of a 6-node graph from the hard plan
+        {0, 1, 2} | {3, 4, 5} on four columns, the last two empty."""
+        a = np.zeros((6, 6))
+        for i, j in pairs:
+            a[i, j] = a[j, i] = weight(i, j)
+        plan0 = labels_to_plan(Labels(np.array([0, 0, 0, 1, 1, 1]), 4))
+        return bcd_fit(AdjacencyMatrix(a), make_loss("squared"), plan0)
+
+    def test_dead_clusters_never_tie_a_fit(self):
+        """Two disjoint triangles: the empty columns' rows tie at the 0.5 placeholder,
+        but they hold no mass, so the fit is not degenerate."""
+        triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+        result = self.fit_two_of_four_columns(triangles)
+        theta = result.connectivity.raw
+        assert result.k_hat == 2 and np.array_equal(theta[2], theta[3])
+        assert not result.degenerate
+
+    def test_live_clusters_that_tie_flag_degenerate(self):
+        """In K6 both live clusters read connectivity 1 to everyone."""
+        complete = list(itertools.combinations(range(6), 2))
+        result = self.fit_two_of_four_columns(complete)
+        assert result.k_hat == 2 and np.array_equal(*result.connectivity.raw[:2])
+        assert result.degenerate
+
+    def test_live_clusters_one_ulp_apart_stay_distinct(self):
+        """Ties are exact: weighting one cluster's edges an ulp above 1 splits the rows."""
+        complete = list(itertools.combinations(range(6), 2))
+        up = np.nextafter(1.0, 2.0)
+        result = self.fit_two_of_four_columns(complete, lambda i, j: up if i >= 3 else 1.0)
+        row0, row1 = result.connectivity.raw[:2]
+        assert result.k_hat == 2 and not np.array_equal(row0, row1)
+        assert np.abs(row0 - row1).max() <= np.spacing(1.0)
+        assert not result.degenerate
 
 
 class TestNonFiniteGuards:
