@@ -228,7 +228,6 @@ def _toward_vertex(w: np.ndarray, axis: int, t: float) -> np.ndarray | None:
     out = (1.0 - t) * w + t * vertex
     if np.any(out < 0.0) or np.any(out > 1.0):
         return None
-    out = np.maximum(out, 0.0)
     return out / out.sum()
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sbm import AdjacencyMatrix, Labels, adjacency_from_edges
+from .sbm import AdjacencyMatrix, Labels, _adjacency_from_pairs, _canonical_pairs, adjacency_from_edges
 
 
 #: Edges formatted per write by :func:`write_edge_list`, so the text of a
@@ -93,6 +93,9 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     malformed input raises ``ValueError`` naming the file and, where there
     is one, the first faulty line.  The body streams from the file into
     ``np.loadtxt``; only a faulty file is read a second time, for the message.
+    The parsed int64 pairs are checked, narrowed to the CSR's index dtype and
+    dropped before the CSR is built (sorted by key only for a file not in
+    row-major order), so a read peaks near 1.4 times the CSR's bytes.
     """
     with open(path) as fh:
         head = _next_line(fh)[1].lstrip().removesuffix("\n")
@@ -112,10 +115,12 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
             ij = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
             if ij.shape[1] != 2:
                 raise ValueError(f"{ij.shape[1]} columns")
-            return adjacency_from_edges(n, ij[:, 0], ij[:, 1])
+            i, j = _canonical_pairs(n, ij[:, 0], ij[:, 1])
         except ValueError:  # unparsable text, or a pair outside 0 <= i < j < n
             fh.seek(start)
             raise _first_edge_fault(path, fh, n) from None
+    del ij
+    return _adjacency_from_pairs(n, i, j)
 
 
 def write_labels(labels: Labels, path: str | Path) -> None:

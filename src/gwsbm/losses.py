@@ -51,6 +51,10 @@ ROW_SUM_TOL = 1e-10
 #: Pair-mass floor at or below which a closed-form connectivity cell is unsupported.
 DENOMINATOR_FLOOR = 1e-12
 
+#: Stored entries :meth:`CostKernel.label_sums` moves per scatter-add, so that
+#: relabelling many rows holds O(n + this) transient memory, not O(their degrees).
+_SCATTER_ENTRIES = 1 << 14
+
 
 @dataclass(frozen=True)
 class CompositeLoss:
@@ -269,23 +273,49 @@ class CostKernel:
         putting mass u on each row's label has ``A @ plan = u W``.  Given the
         sums ``sums`` this method returned for the labels ``old``, updates
         them in place however many rows moved: A is symmetric, so relabelling
-        j from l to l' moves its CSR row j from column l of ``W`` to l'.  Two
-        scatter-adds move all such rows at once, in O(sum of their degrees)
-        time and transient memory.  On an integer-valued A the float64 sums
-        are exact integers, equal to a fresh product bit for bit.
+        j from l to l' moves its CSR row j from column l of ``W`` to l'.  The
+        relabelled rows' stored entries, row after row, are moved by
+        scatter-adds in groups of at most ``_SCATTER_ENTRIES``: every group
+        subtracts from the old columns before any adds to the new ones, so
+        ``W`` takes the same sequence of operations as one subtraction of all
+        of them and one addition, bit for bit on any graph.  That takes
+        O(sum of their degrees) time and O(n + _SCATTER_ENTRIES) transient
+        memory, and an update within one group gathers its entries once.  On
+        an integer-valued A the float64 sums are exact integers, equal to a
+        fresh product bit for bit.
         """
         if sums is None:
             return self.a @ np.eye(k)[labels]
         changed = np.flatnonzero(labels != old)
-        lo, hi = self.a.indptr[changed], self.a.indptr[changed + 1]
-        degrees = hi - lo
-        # where the relabelled rows' stored entries sit in A's indices and data, row after row
-        entries = np.arange(degrees.sum()) + np.repeat(lo - (np.cumsum(degrees) - degrees), degrees)
-        cells = self.a.indices[entries].astype(np.intp) * k  # column * k passes 2**31 for large n k
-        values = self.a.data[entries]
+        lo = self.a.indptr[changed]
+        degrees = self.a.indptr[changed + 1] - lo
+        # the relabelled rows' stored entries, row after row, form one sequence; row r ends at ends[r]
+        ends = np.cumsum(degrees)
+        shifts = lo - (ends - degrees)  # an entry's index in A's indices and data, less its place
+        total = int(ends[-1]) if changed.size else 0
+        # each group: its rows, their entry counts in it and its places [start, stop) in the sequence
+        groups = [(slice(None), degrees, 0, total)]
+        if total > _SCATTER_ENTRIES:
+            groups = []
+            for start in range(0, total, _SCATTER_ENTRIES):
+                stop = min(start + _SCATTER_ENTRIES, total)
+                rows = slice(np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop) + 1)
+                counts = np.minimum(ends[rows], stop) - np.maximum(ends[rows] - degrees[rows], start)
+                groups.append((rows, counts, start, stop))
+
+        def gather(rows, counts, start, stop):
+            entries = np.arange(start, stop) + np.repeat(shifts[rows], counts)
+            cells = self.a.indices[entries].astype(np.intp) * k  # column * k passes 2**31 for large n k
+            return cells, self.a.data[entries]
+
+        # one group is gathered once, for both passes
+        once = gather(*groups[0]) if len(groups) == 1 else None
         flat = sums.reshape(-1)  # a view: the sums this method returns are C-contiguous
-        np.subtract.at(flat, cells + np.repeat(old[changed], degrees), values)
-        np.add.at(flat, cells + np.repeat(labels[changed], degrees), values)
+        for scatter, side in ((np.subtract.at, old[changed]), (np.add.at, labels[changed])):
+            for group in groups:
+                cells, values = once or gather(*group)
+                rows, counts = group[:2]
+                scatter(flat, cells + np.repeat(side[rows], counts), values)
         return sums
 
     def pair_summaries(self, t: np.ndarray) -> tuple:

@@ -101,31 +101,66 @@ def adjacency_from_edges(n: int, i, j) -> AdjacencyMatrix:
         raise ValueError("edge endpoints must be two vectors of one length")
     if i.size and not (np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)):
         raise ValueError("edge endpoints must be integers")
-    i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+    i, j = _canonical_pairs(n, i.astype(np.int64, copy=False), j.astype(np.int64, copy=False))
+    return _adjacency_from_pairs(n, i, j)
+
+
+def _index_dtype(n: int, m: int) -> type:
+    """Index dtype of the CSR array of ``m`` edges on ``n`` nodes: int32 while
+    ``n`` and its ``2 m`` entries fit, as scipy picks it for such an array."""
+    return np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
+
+
+def _canonical_pairs(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New arrays of the int64 pairs ``(i, j)``, each checked to satisfy
+    ``0 <= i < j < n`` (else ``ValueError``), in row-major order without
+    repeats and in the CSR's index dtype.
+
+    Pairs already in strictly increasing row-major order are only narrowed;
+    others are keyed ``i * n + j``, sorted and deduplicated first.
+    """
     if not np.all((0 <= i) & (i < j) & (j < n)):
         raise ValueError(f"edges must satisfy 0 <= i < j < n = {n}")
-    return _adjacency_from_keys(n, i * n + j)
+    if not np.all((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))):
+        i, j = np.divmod(np.unique(i * n + j), n)
+    index = _index_dtype(n, i.size)
+    return i.astype(index), j.astype(index)
 
 
 def _adjacency_from_keys(n: int, keys: np.ndarray) -> AdjacencyMatrix:
-    """The graph whose edges (i, j), 0 <= i < j < n, are keyed ``i * n + j``.
+    """The graph whose edges (i, j), 0 <= i < j < n, are keyed ``i * n + j``,
+    the keys strictly increasing, as the sampler finds them: they are split
+    into pairs of the CSR's index dtype for :func:`_adjacency_from_pairs`,
+    which writes the CSR arrays without a COO copy."""
+    index = _index_dtype(n, keys.size)
+    i, j = np.empty(keys.size, index), np.empty(keys.size, index)
+    np.divmod(keys, n, out=(i, j), casting="unsafe")
+    return _adjacency_from_pairs(n, i, j)
 
-    Keys are sorted and deduplicated only when not already strictly
-    increasing.  Each edge is stored as ``(j, i)`` and ``(i, j)``, the lower
-    half first: the COO to CSR pass keeps entries in input order within a
-    row, so every row's columns come out sorted and the CSR array is
-    canonical as built.  It is wrapped without the copy and the symmetry
+
+def _adjacency_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyMatrix:
+    """The graph with an edge for each pair ``(i[e], j[e])``: pairs with
+    ``0 <= i < j < n`` in strictly increasing row-major order, in the index
+    dtype :func:`_index_dtype` gives.
+
+    Builds the canonical CSR arrays in O(|E| + n) time without a COO copy.
+    The pairs in their order are the bool-valued upper triangle's CSR arrays,
+    its ``indptr`` from one ``bincount``; scipy adds the transpose, the lower
+    half, which its CSR to CSC pass gives with each row's columns ascending,
+    and merges each row's two halves in column order.  The float64 ones come
+    last, once the bool arrays are freed, so the build peaks near the pairs
+    plus the CSR.  The array is wrapped without the copy and the symmetry
     check the ``AdjacencyMatrix`` constructor makes of other inputs.
     """
-    if np.any(keys[1:] <= keys[:-1]):
-        keys = np.unique(keys)
-    m = keys.size
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    rows, cols = np.empty(2 * m, dtype=index), np.empty(2 * m, dtype=index)
-    np.divmod(keys, n, out=(cols[:m], rows[:m]), casting="unsafe")
-    rows[m:], cols[m:] = cols[:m], rows[:m]
-    coo = sparse.coo_array((np.ones(2 * m), (rows, cols)), shape=(n, n))
-    return AdjacencyMatrix._from_canonical(coo.tocsr())
+    upper_ptr = np.zeros(n + 1, i.dtype)
+    np.cumsum(np.bincount(i, minlength=n), out=upper_ptr[1:])
+    upper = sparse.csr_array((np.ones(i.size, bool), j, upper_ptr), shape=(n, n))
+    pattern = upper + upper.T
+    indices, indptr = pattern.indices, pattern.indptr
+    del upper, pattern
+    csr = sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    csr.has_canonical_format = True
+    return AdjacencyMatrix._from_canonical(csr)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy import sparse
 
 import gwsbm
 from gwsbm import AdjacencyMatrix, ConnectivityMatrix, TransportPlan
@@ -186,6 +187,40 @@ def sample_by_dense_uniforms(conn, props, n, seed):
     return AdjacencyMatrix((upper | upper.T).astype(np.float64)), z
 
 
+def csr_by_coo(n, keys):
+    """The reference CSR of the graph on ``n`` nodes whose edges (i, j), i < j,
+    are keyed ``i * n + j``: scipy's COO to CSR pass over every edge stored
+    as (j, i) and (i, j), lower half first, so each row comes out sorted.
+
+    Repeated and unordered keys are fine.  The index dtype is int32 while n
+    fits, the pass's own choice for more entries.
+    """
+    keys = np.unique(np.asarray(keys, dtype=np.int64))
+    m = keys.size
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(2 * m, dtype=index), np.empty(2 * m, dtype=index)
+    np.divmod(keys, n, out=(cols[:m], rows[:m]), casting="unsafe")
+    rows[m:], cols[m:] = cols[:m], rows[:m]
+    return sparse.coo_array((np.ones(2 * m), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def label_sums_in_one_pass(a, labels, k, sums, old):
+    """The reference update of neighbour-label sums ``sums`` from labels ``old``
+    to ``labels``, in place: the relabelled rows' CSR entries of ``a``, row
+    after row, gathered at once, one ``np.subtract.at`` from their old
+    columns, then one ``np.add.at`` to their new ones."""
+    changed = np.flatnonzero(labels != old)
+    lo, hi = a.indptr[changed], a.indptr[changed + 1]
+    degrees = hi - lo
+    entries = np.arange(degrees.sum()) + np.repeat(lo - (np.cumsum(degrees) - degrees), degrees)
+    cells = a.indices[entries].astype(np.intp) * k
+    values = a.data[entries]
+    flat = sums.reshape(-1)
+    np.subtract.at(flat, cells + np.repeat(old[changed], degrees), values)
+    np.add.at(flat, cells + np.repeat(labels[changed], degrees), values)
+    return sums
+
+
 def random_binary_graph(rng, n, p=0.4):
     upper = np.triu(rng.random((n, n)) < p, 1)
     return AdjacencyMatrix((upper | upper.T).astype(np.float64))
@@ -264,6 +299,21 @@ def relabelings(draw, max_n=12, max_k=4):
             labels.append(np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return gwsbm.make_loss(kind), graph_for_loss(rng, n, kind), random_theta(rng, k), labels
+
+
+@st.composite
+def edge_keys(draw, max_n=12):
+    """(n, keys) for the CSR builders: the keys ``i * n + j`` of no edges, of
+    every pair (K_n) or of a few pairs (so mostly with isolated nodes), with
+    some repeated, in row-major or shuffled order."""
+    n = draw(st.integers(1, max_n))
+    pairs = [i * n + j for i in range(n) for j in range(i + 1, n)]
+    kind = draw(st.sampled_from(["none", "all", "some"]))
+    if kind == "none" or not pairs:
+        return n, []
+    keys = pairs if kind == "all" else sorted(set(draw(st.lists(st.sampled_from(pairs), min_size=1))))
+    keys = keys + draw(st.lists(st.sampled_from(keys), max_size=4))
+    return n, draw(st.permutations(keys)) if draw(st.booleans()) else sorted(keys)
 
 
 def theta_bracket(kind):

@@ -1,6 +1,8 @@
 """Loss decompositions, the fast cost kernel, and closed-form connectivity."""
 
+import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gwsbm import (
     make_loss,
     srgw_objective,
 )
+from gwsbm import losses
 from gwsbm.losses import DENOMINATOR_FLOOR
 from gwsbm.sbm import block_densities, build_scenario, balanced_proportions, sample_graph
 from gwsbm.initplans import labels_to_plan
@@ -227,6 +230,54 @@ def test_label_sums_track_relabelings_and_price_the_vertex(instance):
     vertex = kernel.cost(x, theta, (1.0 / n) * sums)
     bound = 1e-15 * oracles.cost_magnitude(adj.entries, x, theta, loss)
     assert np.all(np.abs(vertex - kernel.cost(x, theta)) <= bound)
+
+
+@given(instance=oracles.relabelings(), budget=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_grouped_label_sums_apply_the_one_pass_sequence(instance, budget):
+    """Moved in groups of 1 to 6 entries, so rows split across groups, every
+    update equals the one-pass formula bit for bit on 0/1, count and
+    real-weighted graphs: all subtractions still come before all additions."""
+    _, adj, conn, chain = instance
+    kernel, k = CostKernel(adj, make_loss("squared")), conn.k
+    with mock.patch.object(losses, "_SCATTER_ENTRIES", budget):
+        sums = kernel.label_sums(chain[0], k)
+        want = sums.copy()
+        for old, labels in zip(chain, chain[1:]):
+            sums = kernel.label_sums(labels, k, sums, old)
+            want = oracles.label_sums_in_one_pass(adj.csr, labels, k, want, old)
+            assert np.array_equal(sums, want)
+
+
+def test_label_sums_move_every_row_of_a_dense_graph_in_bounded_groups():
+    """Dense n=1000 (37 % of pairs) with non-integer weights, every row relabelled:
+    the update's traced peak stays under a bound in n and the group budget, not
+    in nnz, where the one-pass formula's grows with the moved entries, and its
+    W is that formula's bit for bit."""
+    n, k = 1000, 10
+    binary, _ = sample_graph(build_scenario("assortative", 3, 0.5, 0.3), balanced_proportions(3), n, seed=0)
+    rng = np.random.default_rng(21)
+    upper = sparse.triu(binary.csr, format="csr")
+    upper.data = rng.uniform(0.2, 3.0, upper.nnz)
+    adj = AdjacencyMatrix(upper + upper.T)
+    kernel = CostKernel(adj, make_loss("exponential_nll"))
+    old = rng.integers(0, k, n)
+    labels = (old + rng.integers(1, k, n)) % k
+    sums = kernel.label_sums(old, k)
+    assert not np.array_equal(sums, np.round(sums)) and adj.csr.nnz > 8 * losses._SCATTER_ENTRIES
+
+    def traced(update, start):
+        tracemalloc.start()
+        try:
+            return update(labels, k, start, old), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    want, one_pass_peak = traced(functools.partial(oracles.label_sums_in_one_pass, adj.csr), sums.copy())
+    got, peak = traced(kernel.label_sums, sums)
+    bound = 64 * losses._SCATTER_ENTRIES + 128 * n
+    assert peak < bound < one_pass_peak, (peak, bound, one_pass_peak)
+    assert got is sums and np.array_equal(got, want)
 
 
 def test_cost_zero_graph_zero_connectivity():

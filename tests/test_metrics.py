@@ -147,6 +147,37 @@ class TestConnectivityError:
             )
             assert exhaustive == pytest.approx(0.0, abs=1e-13)
 
+    def test_matching_alignment_beyond_eight_clusters(self):
+        """k = 10 aligns by the maximum-agreement matching, not by enumeration: a
+        truth permuted with its labels scores exactly 0.0, and a fit that leaves
+        one of ten clusters empty is compared padded with 0.5."""
+        rng = np.random.default_rng(10)
+        theta = rng.uniform(0.1, 0.9, (10, 10))
+        theta = 0.5 * (theta + theta.T)
+        perm = rng.permutation(10)
+        z_star = np.repeat(np.arange(10), 4)
+        permuted = np.empty_like(theta)
+        permuted[np.ix_(perm, perm)] = theta  # fitted cluster perm[c] is true cluster c
+        err = connectivity_error(
+            ConnectivityMatrix(permuted), ConnectivityMatrix(theta), perm[z_star], z_star
+        )
+        assert err == 0.0
+
+        # true clusters 8 and 9 (4 and 2 nodes) share fitted cluster perm[8]; perm[9] stays empty
+        z_star = np.repeat(np.arange(10), [4] * 9 + [2])
+        z_hat = perm[np.minimum(z_star, 8)]
+        theta_hat = rng.uniform(0.1, 0.9, (10, 10))
+        theta_hat = 0.5 * (theta_hat + theta_hat.T)
+        squares = 0.0
+        for a in range(10):
+            for b in range(10):
+                aligned = theta_hat[perm[a], perm[b]] if max(a, b) < 9 else 0.5
+                squares += (aligned - theta[a, b]) ** 2
+        err = connectivity_error(
+            ConnectivityMatrix(theta_hat), ConnectivityMatrix(theta), z_hat, z_star
+        )
+        assert err == pytest.approx(np.sqrt(squares), rel=1e-12)
+
     def test_invariant_to_joint_relabeling(self):
         rng = np.random.default_rng(1)
         theta_star = rng.uniform(0.1, 0.9, (3, 3))
