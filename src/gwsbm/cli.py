@@ -177,17 +177,15 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    handlers = {
+        "sample": _cmd_sample,
+        "fit": _cmd_fit,
+        "oracle": _cmd_oracle,
+        "experiment": _cmd_experiment,
+        "selftest": lambda _: 0 if run_selftest() else 2,
+    }
     try:
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "selftest":
-            return 0 if run_selftest() else 2
+        return handlers[args.command](args)
     except (ValueError, KeyError, TypeError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -195,7 +193,6 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    return 1
 
 
 def main() -> None:

@@ -44,9 +44,12 @@ def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     """Write a 0/1 graph as an edge list; a weighted graph raises ``ValueError``."""
     if np.any(adj.csr.data != 1.0):
         raise ValueError("edge lists hold 0/1 graphs only; this graph has weighted edges")
-    coo = adj.csr.tocoo()  # the canonical CSR's order: row-major, columns sorted
-    upper = coo.row < coo.col
-    iu, ju = coo.row[upper], coo.col[upper]
+    indptr, indices = adj.csr.indptr, adj.csr.indices
+    # the canonical CSR's order: row-major, columns sorted
+    i = np.repeat(np.arange(adj.n, dtype=indices.dtype), np.diff(indptr))
+    upper = i < indices
+    iu, ju = i[upper], indices[upper]
+    del i, upper
 
     def chunks():
         yield f"{adj.n}\n"

@@ -17,10 +17,6 @@ SCENARIO_KINDS = ("assortative", "disassortative", "hub")
 
 PROPORTION_KINDS = ("balanced", "inverse_square")
 
-#: Uniforms :func:`sample_graph` holds at a time, 1 MiB of float64: it draws
-#: slabs of ``_SLAB_CELLS // n`` rows of ``n``, clipped to [1, n] rows.
-_SLAB_CELLS = 1 << 17
-
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -125,17 +121,6 @@ def _canonical_pairs(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, 
         i, j = np.divmod(np.unique(i * n + j), n)
     index = _index_dtype(n, i.size)
     return i.astype(index), j.astype(index)
-
-
-def _adjacency_from_keys(n: int, keys: np.ndarray) -> AdjacencyMatrix:
-    """The graph whose edges (i, j), 0 <= i < j < n, are keyed ``i * n + j``,
-    the keys strictly increasing, as the sampler finds them: they are split
-    into pairs of the CSR's index dtype for :func:`_adjacency_from_pairs`,
-    which writes the CSR arrays without a COO copy."""
-    index = _index_dtype(n, keys.size)
-    i, j = np.empty(keys.size, index), np.empty(keys.size, index)
-    np.divmod(keys, n, out=(i, j), casting="unsafe")
-    return _adjacency_from_pairs(n, i, j)
 
 
 def _adjacency_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyMatrix:
@@ -318,10 +303,11 @@ def sample_graph(
     seeded PCG64, so results are reproducible bit for bit for a given seed.
 
     After the labels, pair (i, j) compares the uniform at row i, column j of
-    ``rng.random((n, n))``.  The uniforms are drawn in slabs of rows, and
-    PCG64 makes one 64-bit draw per double either way, so the graph is the
-    one the single n x n draw gives, in O(|E| + n) memory.  Time stays
-    Theta(n^2): every one of the n^2 uniforms is drawn.
+    ``rng.random((n, n))``.  Row i skips its first i + 1 uniforms and reads
+    the other n - i - 1, so n (n - 1) / 2 of the n^2 stream positions are
+    read; PCG64 makes one 64-bit draw per double, so the graph is the one
+    the single n x n draw gives, in O(|E| + n) memory.  Time stays
+    Theta(n^2).
     """
     if conn.k != props.k:
         raise ValueError("connectivity and proportions disagree on k")
@@ -332,18 +318,18 @@ def sample_graph(
         raise ValueError("edge probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     z = rng.choice(conn.k, size=n, p=props.weights).astype(np.int64)
-    height = min(n, max(1, _SLAB_CELLS // n))
-    uniforms = np.empty((height, n))
-    pieces = []
-    for start in range(0, n, height):
-        stop = min(start + height, n)
-        slab = rng.random(out=uniforms[: stop - start])
-        # columns from start + 1 on; triu then keeps j > i in every row
-        r, c = np.nonzero(np.triu(slab[:, start + 1 :] < p[z[start:stop]][:, z[start + 1 :]]))
-        pieces.append((r + start) * n + (c + start + 1))
-    keys = np.concatenate(pieces)  # row-major, so strictly increasing
-    del pieces
-    return _adjacency_from_keys(n, keys), Labels(z, conn.k)
+    uniforms = np.empty(n)
+    columns = []
+    for i in range(n - 1):
+        rng.bit_generator.advance(i + 1)
+        row = rng.random(out=uniforms[i + 1 :])
+        columns.append(np.flatnonzero(row < p[z[i]][z[i + 1 :]]) + (i + 1))
+    counts = [c.size for c in columns]
+    index = _index_dtype(n, sum(counts))
+    j = np.concatenate(columns, dtype=index)  # row-major, columns ascending
+    del columns
+    i = np.repeat(np.arange(n - 1, dtype=index), counts)
+    return _adjacency_from_pairs(n, i, j), Labels(z, conn.k)
 
 
 def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from gwsbm import (
+    AdjacencyMatrix,
     ConnectivityMatrix,
     Labels,
     Proportions,
@@ -31,8 +32,6 @@ from gwsbm.sbm import balanced_proportions, build_scenario, sample_graph
 def one_edge_pair():
     a = np.zeros((2, 2))
     a[0, 1] = a[1, 0] = 1.0
-    from gwsbm import AdjacencyMatrix
-
     return AdjacencyMatrix(a)
 
 
@@ -151,6 +150,28 @@ class TestSupLikelihood:
         coarse = sup_log_likelihood(adj, theta, grid_size=5)
         fine = sup_log_likelihood(adj, theta, grid_size=401)
         assert coarse >= fine - 1e-6
+
+    def test_k3_search_from_a_simplex_vertex(self, monkeypatch):
+        """K_5 is explained best by the dense cluster alone: the grid's best
+        point is the vertex (1, 0, 0), two of the six steps off it leave the
+        simplex and are skipped, none of the others improves, and the result
+        is at least that point's value."""
+        adj = AdjacencyMatrix(np.ones((5, 5)) - np.eye(5))
+        theta = ConnectivityMatrix(np.array([[0.9, 0.1, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.2]]))
+        toward_vertex = baselines._toward_vertex
+        steps = []
+
+        def recorded(w, axis, t):
+            out = toward_vertex(w, axis, t)
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(baselines, "_toward_vertex", recorded)
+        grid = [np.array([i, j, 2 - i - j]) / 2 for i in range(3) for j in range(3 - i)]
+        best = max(exact_log_likelihood(adj, theta, Proportions(w)) for w in grid)
+        assert best == exact_log_likelihood(adj, theta, Proportions(np.array([1.0, 0.0, 0.0])))
+        assert sup_log_likelihood(adj, theta, grid_size=3) >= best
+        assert sum(w is None for w in steps[:6]) == 2
 
     def test_many_clusters_unsupported(self):
         rng = np.random.default_rng(7)

@@ -148,17 +148,17 @@ def assert_same_csr(got, want):
     assert got.csr.has_canonical_format
 
 
-#: Up to n=362 one slab holds every row; 365 takes a slab of 359 rows, then
-#: one of 6; 512 two slabs of 256 exactly; 800 and 1000 are the benchmark's sizes.
+#: n=2 reads one uniform and n=3 three; 50, 365 and 512 skip and read rows of
+#: many lengths; 800 and 1000 are the benchmark's sizes.
 SAMPLER_SIZES = (2, 3, 50, 365, 512, 800, 1000)
 
 
 @pytest.mark.parametrize("proportions", ["balanced", "inverse_square"])
 @pytest.mark.parametrize("kind", ["assortative", "disassortative", "hub"])
-def test_slab_sampler_draws_the_dense_uniforms_graph(kind, proportions):
-    """Drawing the uniforms slab by slab takes the stream of one n x n draw:
-    labels and CSR arrays match the dense reference bit for bit."""
-    assert 365 % (sbm._SLAB_CELLS // 365) and not 512 % (sbm._SLAB_CELLS // 512)
+def test_sampler_draws_the_dense_uniforms_graph(kind, proportions):
+    """Reading only each row's uniforms right of the diagonal takes the stream
+    of one n x n draw: labels and CSR arrays match the dense reference bit for
+    bit."""
     conn = build_scenario(kind, 3, 0.3, 0.05)
     props = make_proportions(proportions, 3)
     for seed in range(3):
@@ -170,7 +170,8 @@ def test_slab_sampler_draws_the_dense_uniforms_graph(kind, proportions):
 
 
 def test_sampler_memory_stays_below_a_quarter_of_one_dense_array():
-    """n=3000 at mean degree ~50: the traced peak is O(|E| + n), not n x n."""
+    """n=3000 at mean degree ~50: the traced peak is O(|E| + n), not n x n,
+    and under two CSR sizes, the reader's bound."""
     n = 3000
     conn = build_scenario("assortative", 3, 1 / 30, 1 / 120)
     tracemalloc.start()
@@ -181,6 +182,8 @@ def test_sampler_memory_stays_below_a_quarter_of_one_dense_array():
         tracemalloc.stop()
     assert 40 < 2 * adj.edge_count() / n < 60
     assert peak < 8 * n * n / 4
+    csr = adj.csr
+    assert peak <= 2.0 * (csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes)
 
 
 def test_sample_graph_validates_shapes():
@@ -441,15 +444,18 @@ class TestGraphIO:
 @example(case=(2, [1, 1]))
 @settings(max_examples=200, deadline=None)
 def test_csr_builder_matches_the_coo_round_trip(case):
-    """The sampler's key path (keys strictly increasing), ``adjacency_from_edges``
-    and the reader's pair path build the COO to CSR pass's arrays, dtypes
-    included: with no edges, on one or two nodes, for K_n, with isolated nodes
-    and with repeated and shuffled pairs."""
+    """The sampler's path (distinct pairs in row-major order, in the index
+    dtype), ``adjacency_from_edges`` and the reader build the COO to CSR
+    pass's arrays, dtypes included: with no edges, on one or two nodes, for
+    K_n, with isolated nodes and with repeated and shuffled pairs."""
     n, keys = case
     want = oracles.csr_by_coo(n, keys)
     keys = np.array(keys, dtype=np.int64)
     i, j = np.divmod(keys, n)
-    built = [sbm._adjacency_from_keys(n, np.unique(keys)), adjacency_from_edges(n, i, j)]
+    unique = np.unique(keys)
+    index = sbm._index_dtype(n, unique.size)
+    iu, ju = (part.astype(index) for part in np.divmod(unique, n))
+    built = [sbm._adjacency_from_pairs(n, iu, ju), adjacency_from_edges(n, i, j)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.txt"
         path.write_text(f"{n}\n" + "".join(f"{a} {b}\n" for a, b in zip(i.tolist(), j.tolist())))
