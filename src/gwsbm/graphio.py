@@ -18,8 +18,8 @@ from .sbm import AdjacencyMatrix, Labels, _adjacency_from_pairs, _canonical_pair
 
 
 #: Edges formatted per write by :func:`write_edge_list`, so the text of a
-#: large graph is never held whole.
-_EDGE_CHUNK = 1 << 16
+#: large graph is never held whole; its Python ints and strings stay near 1 MB.
+_EDGE_CHUNK = 1 << 12
 
 
 def _atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
@@ -42,9 +42,9 @@ def _atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
 
 def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     """Write a 0/1 graph as an edge list; a weighted graph raises ``ValueError``."""
-    if np.any(adj.csr.data != 1.0):
+    if np.any(adj.data != 1.0):
         raise ValueError("edge lists hold 0/1 graphs only; this graph has weighted edges")
-    indptr, indices = adj.csr.indptr, adj.csr.indices
+    indptr, indices = adj.indptr, adj.indices
     # the canonical CSR's order: row-major, columns sorted
     i = np.repeat(np.arange(adj.n, dtype=indices.dtype), np.diff(indptr))
     upper = i < indices

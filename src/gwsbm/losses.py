@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .sbm import AdjacencyMatrix, ConnectivityMatrix
 
@@ -51,8 +50,9 @@ ROW_SUM_TOL = 1e-10
 #: Pair-mass floor at or below which a closed-form connectivity cell is unsupported.
 DENOMINATOR_FLOOR = 1e-12
 
-#: Stored entries :meth:`CostKernel.label_sums` moves per scatter-add, so that
-#: relabelling many rows holds O(n + this) transient memory, not O(their degrees).
+#: Stored entries :meth:`CostKernel.label_sums` moves per scatter-add, and a new
+#: kernel passes to ``f1`` per call, so that relabelling many rows or building a
+#: kernel holds O(n + this) transient memory, not O(their degrees) or O(|E|).
 _SCATTER_ENTRIES = 1 << 14
 
 
@@ -221,11 +221,12 @@ class CostKernel:
 
     ``a`` is the :class:`AdjacencyMatrix`'s own CSR array, shared, not
     copied, and ``fa`` is ``f1(A)`` as a CSR array.  ``f1`` is evaluated on
-    A's stored values only (``f1(0) = 0``) and ``fa`` is built from the
-    entries where it does not vanish, without copying A, so it is empty
-    for the Bernoulli and exponential losses.  Each :meth:`cost` call then
-    costs O(|E| k + n k^2): one sparse ``A @ T`` plus products with the
-    k x k connectivity, or only the latter when ``A @ T`` is given; for
+    A's stored values only (``f1(0) = 0``), in groups of ``_SCATTER_ENTRIES``,
+    and ``fa`` is built from the entries where it does not vanish, without
+    copying A, so it is empty for the Bernoulli and exponential losses and
+    building it allocates no transient as long as A's values.  Each :meth:`cost`
+    call then costs O(|E| k + n k^2): one sparse ``A @ T`` plus products with
+    the k x k connectivity, or only the latter when ``A @ T`` is given; for
     one-hot plans it is a multiple of :meth:`label_sums`, which an update
     carries to the next labels in O(sum of the relabelled rows' degrees).
     """
@@ -233,14 +234,25 @@ class CostKernel:
     def __init__(self, adj, loss: CompositeLoss):
         if not isinstance(adj, AdjacencyMatrix):
             adj = AdjacencyMatrix(adj)
+        # Imported here: scipy.sparse costs ~0.2 s to load and only products need it.
+        from scipy import sparse
+
         self.loss = loss
         self.a = adj.csr
         self.n = adj.n
-        f1 = np.asarray(loss.f1(self.a.data), dtype=np.float64)
-        kept = np.flatnonzero(f1)
+        # f1 over groups of A's stored values, keeping only where it does not vanish
+        kept, values = [np.empty(0, np.intp)], [np.empty(0)]
+        for start in range(0, adj.data.size, _SCATTER_ENTRIES):
+            f1 = np.asarray(loss.f1(adj.data[start : start + _SCATTER_ENTRIES]), dtype=np.float64)
+            nonzero = np.flatnonzero(f1)
+            kept.append(nonzero + start)
+            values.append(f1[nonzero])
+            del f1  # before the next group's
+        kept = np.concatenate(kept)
+        values = np.concatenate(values)
         # fa's row pointers: the kept entries that precede each row of A
-        indptr = np.searchsorted(kept, self.a.indptr)
-        self.fa = sparse.csr_array((f1[kept], self.a.indices[kept], indptr), shape=self.a.shape)
+        indptr = np.searchsorted(kept, adj.indptr)
+        self.fa = sparse.csr_array((values, adj.indices[kept], indptr), shape=self.a.shape)
 
     def cost(self, t: np.ndarray, theta: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
         """Apply the cost tensor to a plan, excluding i == j terms exactly.

@@ -7,11 +7,11 @@ Graphs are undirected, simple (zero diagonal) and stored as sparse CSR.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 SCENARIO_KINDS = ("assortative", "disassortative", "hub")
 
@@ -24,26 +24,34 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def _freeze(adj: AdjacencyMatrix, csr: sparse.csr_array) -> None:
-    for arr in (csr.data, csr.indices, csr.indptr):
+def _freeze(adj: AdjacencyMatrix, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+    for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
         arr.setflags(write=False)
-    object.__setattr__(adj, "csr", csr)
+        object.__setattr__(adj, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AdjacencyMatrix:
     """Symmetric pairwise-relation matrix with a zero diagonal, stored as CSR.
 
-    Any input, dense or ``scipy.sparse``, becomes a fresh canonical CSR
-    array (sorted indices, no duplicates, no stored zeros) with read-only
-    arrays, so later writes to the input cannot reach it.  ``csr`` is the
-    only array held, O(|E|) in memory.
+    Any input, dense or ``scipy.sparse``, becomes fresh canonical CSR arrays
+    (sorted indices, no duplicates, no stored zeros) held read-only, so
+    later writes to the input cannot reach them.  ``indptr``, ``indices``
+    and ``data`` are the only arrays held, O(|E|) in memory; ``csr`` is the
+    ``scipy.sparse.csr_array`` over those same arrays, built without a copy
+    on first use, which is where a graph first loads ``scipy.sparse``.
     """
 
-    csr: sparse.csr_array
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
-    def __post_init__(self):
-        a = self.csr if sparse.issparse(self.csr) else np.asarray(self.csr, dtype=np.float64)
+    def __init__(self, matrix):
+        # Imported here: scipy.sparse costs ~0.2 s to load, and sampled and
+        # read graphs are built in numpy without it.
+        from scipy import sparse
+
+        a = matrix if sparse.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
         if a.shape[0] < 1:
@@ -57,19 +65,20 @@ class AdjacencyMatrix:
             raise ValueError("adjacency matrix must be symmetric")
         if a.diagonal().any():
             raise ValueError("adjacency diagonal must be zero")
-        _freeze(self, a)
+        _freeze(self, a.indptr, a.indices, a.data)
 
-    @classmethod
-    def _from_canonical(cls, csr: sparse.csr_array) -> AdjacencyMatrix:
-        """Wrap a CSR array already canonical, symmetric, finite and zero on
-        the diagonal, without a copy or a check."""
-        adj = object.__new__(cls)
-        _freeze(adj, csr)
-        return adj
+    @functools.cached_property
+    def csr(self):
+        """A's ``scipy.sparse.csr_array``, sharing ``indptr``, ``indices`` and ``data``."""
+        from scipy import sparse
+
+        csr = sparse.csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        csr.has_canonical_format = True
+        return csr
 
     @property
     def n(self) -> int:
-        return self.csr.shape[0]
+        return self.indptr.size - 1
 
     @property
     def entries(self) -> np.ndarray:
@@ -81,7 +90,7 @@ class AdjacencyMatrix:
     def edge_count(self) -> int:
         """Number of undirected edges (nonzero upper-triangle entries)."""
         # Symmetric with a zero diagonal, so each edge is stored exactly twice.
-        return self.csr.nnz // 2
+        return self.indices.size // 2
 
 
 def adjacency_from_edges(n: int, i, j) -> AdjacencyMatrix:
@@ -128,24 +137,32 @@ def _adjacency_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyMatr
     ``0 <= i < j < n`` in strictly increasing row-major order, in the index
     dtype :func:`_index_dtype` gives.
 
-    Builds the canonical CSR arrays in O(|E| + n) time without a COO copy.
-    The pairs in their order are the bool-valued upper triangle's CSR arrays,
-    its ``indptr`` from one ``bincount``; scipy adds the transpose, the lower
-    half, which its CSR to CSC pass gives with each row's columns ascending,
-    and merges each row's two halves in column order.  The float64 ones come
-    last, once the bool arrays are freed, so the build peaks near the pairs
-    plus the CSR.  The array is wrapped without the copy and the symmetry
-    check the ``AdjacencyMatrix`` constructor makes of other inputs.
+    Builds the canonical CSR arrays in numpy, in O(|E| + n) memory.  Row r
+    holds the pairs with ``i == r`` and those with ``j == r``, so ``indptr``
+    is the running sum of two ``bincount``s.  Both halves of A are keyed
+    ``row * n + column`` into one int64 buffer, filled and sorted in place
+    and reduced ``% n`` to the columns, row-major with each row's ascending;
+    the narrowed columns and the float64 ones come after, so the build peaks
+    near the pairs plus the CSR.  The arrays are wrapped without the copy
+    and the symmetry check the ``AdjacencyMatrix`` constructor makes of
+    other inputs.
     """
-    upper_ptr = np.zeros(n + 1, i.dtype)
-    np.cumsum(np.bincount(i, minlength=n), out=upper_ptr[1:])
-    upper = sparse.csr_array((np.ones(i.size, bool), j, upper_ptr), shape=(n, n))
-    pattern = upper + upper.T
-    indices, indptr = pattern.indices, pattern.indptr
-    del upper, pattern
-    csr = sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
-    csr.has_canonical_format = True
-    return AdjacencyMatrix._from_canonical(csr)
+    m = i.size
+    indptr = np.zeros(n + 1, i.dtype)
+    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=indptr[1:])
+    keys = np.empty(2 * m, np.int64)
+    upper, lower = keys[:m], keys[m:]
+    np.multiply(i, n, out=upper, dtype=np.int64)
+    upper += j
+    np.multiply(j, n, out=lower, dtype=np.int64)
+    lower += i
+    keys.sort()
+    np.remainder(keys, n, out=keys)
+    indices = keys.astype(i.dtype)
+    del keys, upper, lower
+    adj = object.__new__(AdjacencyMatrix)
+    _freeze(adj, indptr, indices, np.ones(indices.size))
+    return adj
 
 
 @dataclass(frozen=True)
@@ -307,7 +324,8 @@ def sample_graph(
     the other n - i - 1, so n (n - 1) / 2 of the n^2 stream positions are
     read; PCG64 makes one 64-bit draw per double, so the graph is the one
     the single n x n draw gives, in O(|E| + n) memory.  Time stays
-    Theta(n^2).
+    Theta(n^2).  The rows' columns fill one buffer that doubles when full,
+    so a sample leaves no n small arrays freed across the heap.
     """
     if conn.k != props.k:
         raise ValueError("connectivity and proportions disagree on k")
@@ -319,14 +337,22 @@ def sample_graph(
     rng = np.random.default_rng(seed)
     z = rng.choice(conn.k, size=n, p=props.weights).astype(np.int64)
     uniforms = np.empty(n)
-    columns = []
+    columns = np.empty(n, np.int64)  # each row's columns in turn; doubles when full
+    counts = np.empty(n - 1, np.int64)
+    m = 0
     for i in range(n - 1):
         rng.bit_generator.advance(i + 1)
         row = rng.random(out=uniforms[i + 1 :])
-        columns.append(np.flatnonzero(row < p[z[i]][z[i + 1 :]]) + (i + 1))
-    counts = [c.size for c in columns]
-    index = _index_dtype(n, sum(counts))
-    j = np.concatenate(columns, dtype=index)  # row-major, columns ascending
+        hits = np.flatnonzero(row < p[z[i]][z[i + 1 :]])
+        if m + hits.size > columns.size:
+            columns, full = np.empty(2 * (m + hits.size), np.int64), columns
+            columns[:m] = full[:m]
+            del full
+        np.add(hits, i + 1, out=columns[m : m + hits.size])
+        counts[i] = hits.size
+        m += hits.size
+    index = _index_dtype(n, m)
+    j = columns[:m].astype(index)  # row-major, columns ascending
     del columns
     i = np.repeat(np.arange(n - 1, dtype=index), counts)
     return _adjacency_from_pairs(n, i, j), Labels(z, conn.k)

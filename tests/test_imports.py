@@ -4,9 +4,11 @@
 import together, and a plain Bernoulli fit uses neither, so the modules
 that need them import them inside the functions that call them.
 ``scipy.sparse.linalg`` (ARPACK) is loaded only by a spectral start below
-``RANDOMIZED_CUTOFF``; larger graphs never need it.  The check runs in a
-fresh interpreter because the test process has long since loaded all
-three.
+``RANDOMIZED_CUTOFF``; larger graphs never need it.  ``scipy.sparse`` itself
+is loaded by the first product with A (a spectral start or a ``CostKernel``):
+importing the package, sampling a graph, writing and reading an edge list and
+loading a config run on numpy alone.  The checks run in fresh interpreters
+because the test process has long since loaded all of scipy.
 """
 
 import json
@@ -82,3 +84,57 @@ def test_cli_import_leaves_scipy_special_and_optimize_unloaded(child):
 def test_arpack_loads_only_for_a_start_below_the_randomized_cutoff(child):
     assert ARPACK not in child["at_import"]
     assert child["arpack_after_large_then_small_start"] == [False, True]
+
+
+NUMPY_ONLY = """
+import contextlib, io, json, os, sys, tempfile
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import gwsbm.cli
+seen = {"import": scipy_modules()}
+from gwsbm.cli import cli_dispatch
+from gwsbm.graphio import read_edge_list
+from gwsbm.harness import ExperimentConfig
+
+with tempfile.TemporaryDirectory() as tmp:
+    graph, labels, config = (os.path.join(tmp, name) for name in ("g.txt", "z.txt", "c.json"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_dispatch(["sample", "--n", "60", "--k", "2", "--p-in", "0.3", "--p-out", "0.05",
+                             "--seed", "1", "--out", graph, "--labels-out", labels])
+    seen["sample"] = scipy_modules()
+    adj = read_edge_list(graph)
+    seen["read"] = scipy_modules()
+    with open(config, "w") as fh:
+        json.dump({"scenario": "assortative", "n": 60, "k_true": 2, "k_search": 3, "p_out": 0.05,
+                   "p_in_grid": [0.3], "seeds": [0], "loss": "bernoulli_nll", "method": "srgw_nll",
+                   "lambda": 0.0, "output_path": os.path.join(tmp, "out.csv")}, fh)
+    ExperimentConfig.from_json(config)
+    seen["config"] = scipy_modules()
+
+if sys.argv[1] == "spectral_init":
+    from gwsbm import spectral_init
+    spectral_init(adj, 2, 0)
+else:
+    from gwsbm import CostKernel, make_loss
+    CostKernel(adj, make_loss("bernoulli_nll"))
+print(json.dumps({"code": code, "edges": adj.edge_count(), "seen": seen,
+                  "sparse_after_first_product": "scipy.sparse" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("first_product", ["spectral_init", "CostKernel"])
+def test_sample_read_and_config_run_on_numpy_alone(first_product):
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, first_product],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=oracles.cli_process_env(),
+    )
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["code"] == 0 and got["edges"] > 0
+    assert got["seen"] == {"import": [], "sample": [], "read": [], "config": []}
+    assert got["sparse_after_first_product"]

@@ -229,11 +229,16 @@ class TestTypeValidation:
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 2.0
         adj = AdjacencyMatrix(a)
-        assert list(vars(adj)) == ["csr"]
-        assert adj.csr.format == "csr" and adj.csr.has_canonical_format
-        for arr in (adj.csr.data, adj.csr.indices, adj.csr.indptr):
+        assert list(vars(adj)) == ["indptr", "indices", "data"]
+        for arr in (adj.data, adj.indices, adj.indptr):
             with pytest.raises(ValueError):
                 arr[0] = 0
+        # the scipy array is a view over the same arrays, built once on first use
+        assert adj.csr is adj.csr
+        assert list(vars(adj)) == ["indptr", "indices", "data", "csr"]
+        assert adj.csr.format == "csr" and adj.csr.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(adj.csr, name), getattr(adj, name)), name
         assert np.array_equal(adj.entries, a)
 
     def test_sparse_adjacency_rejects_asymmetry(self):
@@ -421,6 +426,22 @@ class TestGraphIO:
         csr = back.csr
         assert_same_csr(back, adj)
         assert peak <= 2.0 * (csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes)
+
+    def test_writer_memory_stays_below_one_csr_size(self, tmp_path):
+        """n=3000 at mean degree ~50: the upper-triangle pairs are formatted
+        2**12 edges at a time, so the traced peak stays below the CSR's bytes
+        (0.75x), where 2**16-edge chunks peaked at 5.8x."""
+        adj, _ = sample_graph(build_scenario("assortative", 3, 1 / 30, 1 / 120),
+                              balanced_proportions(3), 3000, seed=0)
+        path = tmp_path / "graph.txt"
+        tracemalloc.start()
+        try:
+            graphio.write_edge_list(adj, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
+        assert_same_csr(graphio.read_edge_list(path), adj)
 
     def test_labels_roundtrip(self, tmp_path):
         labels = Labels(np.array([2, 0, 1, 2]), 4)
