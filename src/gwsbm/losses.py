@@ -50,9 +50,9 @@ ROW_SUM_TOL = 1e-10
 #: Pair-mass floor at or below which a closed-form connectivity cell is unsupported.
 DENOMINATOR_FLOOR = 1e-12
 
-#: Stored entries :meth:`CostKernel.label_sums` moves per scatter-add, and a new
-#: kernel passes to ``f1`` per call, so that relabelling many rows or building a
-#: kernel holds O(n + this) transient memory, not O(their degrees) or O(|E|).
+#: Stored entries a new kernel passes to ``f1`` per call, and the budget of each run of whole
+#: rows :meth:`CostKernel.label_sums` scatters (fewer entries than this plus one row's), so
+#: both hold O(n + this) transient memory, not O(|E|) or O(the relabelled rows' degrees).
 _SCATTER_ENTRIES = 1 << 14
 
 
@@ -286,48 +286,38 @@ class CostKernel:
         sums ``sums`` this method returned for the labels ``old``, updates
         them in place however many rows moved: A is symmetric, so relabelling
         j from l to l' moves its CSR row j from column l of ``W`` to l'.  The
-        relabelled rows' stored entries, row after row, are moved by
-        scatter-adds in groups of at most ``_SCATTER_ENTRIES``: every group
-        subtracts from the old columns before any adds to the new ones, so
-        ``W`` takes the same sequence of operations as one subtraction of all
-        of them and one addition, bit for bit on any graph.  That takes
-        O(sum of their degrees) time and O(n + _SCATTER_ENTRIES) transient
-        memory, and an update within one group gathers its entries once.  On
-        an integer-valued A the float64 sums are exact integers, equal to a
-        fresh product bit for bit.
+        relabelled rows' stored entries move by scatter-adds in runs of whole
+        rows, each fewer than ``_SCATTER_ENTRIES`` entries plus one row's:
+        every run subtracts from the old columns before any adds to the new
+        ones, so ``W`` takes the same sequence of operations as one subtraction
+        of all of them and one addition, bit for bit on any graph, in O(sum of
+        their degrees) time and O(n + _SCATTER_ENTRIES) transient memory; a
+        single run is gathered once.  On an integer-valued A the float64 sums
+        are exact integers, equal to a fresh product bit for bit.
         """
         if sums is None:
             return self.a @ np.eye(k)[labels]
         changed = np.flatnonzero(labels != old)
         lo = self.a.indptr[changed]
         degrees = self.a.indptr[changed + 1] - lo
-        # the relabelled rows' stored entries, row after row, form one sequence; row r ends at ends[r]
-        ends = np.cumsum(degrees)
-        shifts = lo - (ends - degrees)  # an entry's index in A's indices and data, less its place
-        total = int(ends[-1]) if changed.size else 0
-        # each group: its rows, their entry counts in it and its places [start, stop) in the sequence
-        groups = [(slice(None), degrees, 0, total)]
-        if total > _SCATTER_ENTRIES:
-            groups = []
-            for start in range(0, total, _SCATTER_ENTRIES):
-                stop = min(start + _SCATTER_ENTRIES, total)
-                rows = slice(np.searchsorted(ends, start, "right"), np.searchsorted(ends, stop) + 1)
-                counts = np.minimum(ends[rows], stop) - np.maximum(ends[rows] - degrees[rows], start)
-                groups.append((rows, counts, start, stop))
+        # runs of whole rows: each closes at the row whose entry count so far reaches the next budget multiple
+        multiples = np.arange(_SCATTER_ENTRIES, degrees.sum(), _SCATTER_ENTRIES)
+        cuts = [-1, *np.searchsorted(np.cumsum(degrees), multiples).tolist(), changed.size - 1]
+        runs = [slice(a + 1, b + 1) for a, b in zip(cuts, cuts[1:]) if a < b]
 
-        def gather(rows, counts, start, stop):
-            entries = np.arange(start, stop) + np.repeat(shifts[rows], counts)
+        def gather(run):
+            counts = degrees[run]
+            entries = np.arange(counts.sum()) + np.repeat(lo[run] - (np.cumsum(counts) - counts), counts)
             cells = self.a.indices[entries].astype(np.intp) * k  # column * k passes 2**31 for large n k
             return cells, self.a.data[entries]
 
-        # one group is gathered once, for both passes
-        once = gather(*groups[0]) if len(groups) == 1 else None
+        # one run is gathered once, for both passes
+        once = gather(runs[0]) if len(runs) == 1 else None
         flat = sums.reshape(-1)  # a view: the sums this method returns are C-contiguous
         for scatter, side in ((np.subtract.at, old[changed]), (np.add.at, labels[changed])):
-            for group in groups:
-                cells, values = once or gather(*group)
-                rows, counts = group[:2]
-                scatter(flat, cells + np.repeat(side[rows], counts), values)
+            for run in runs:
+                cells, values = once or gather(run)
+                scatter(flat, cells + np.repeat(side[run], degrees[run]), values)
         return sums
 
     def pair_summaries(self, t: np.ndarray) -> tuple:

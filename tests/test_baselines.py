@@ -126,6 +126,12 @@ class TestExactLikelihood:
         with pytest.raises(ValueError):
             exact_log_likelihood(adj, theta, Proportions(np.full(10, 0.1)))
 
+    def test_proportions_must_match_connectivity(self):
+        rng = np.random.default_rng(4)
+        adj = oracles.random_binary_graph(rng, 4)
+        with pytest.raises(ValueError, match="connectivity and proportions disagree on k"):
+            exact_log_likelihood(adj, oracles.random_theta(rng, 2), Proportions(np.full(3, 1 / 3)))
+
 
 class TestSupLikelihood:
     def test_single_cluster_trivial(self):
@@ -179,6 +185,12 @@ class TestSupLikelihood:
         theta = oracles.random_theta(rng, 4)
         with pytest.raises(ValueError):
             sup_log_likelihood(adj, theta)
+
+    def test_grid_needs_three_points(self):
+        rng = np.random.default_rng(7)
+        adj = oracles.random_binary_graph(rng, 4)
+        with pytest.raises(ValueError, match="grid_size must be at least 3"):
+            sup_log_likelihood(adj, oracles.random_theta(rng, 2), grid_size=2)
 
 
 class TestVertexEnumeration:

@@ -89,6 +89,11 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(points, 4, seed=0)
 
+    @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((0, 2))])
+    def test_points_validated(self, points):
+        with pytest.raises(ValueError, match="points must be a nonempty 2-d array"):
+            kmeans(points, 1, seed=0)
+
     def test_lloyd_inertia_never_increases(self):
         rng = np.random.default_rng(3)
         points = rng.random((60, 2))

@@ -257,9 +257,10 @@ def test_label_sums_track_relabelings_and_price_the_vertex(instance):
 @given(instance=oracles.relabelings(), budget=st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
 def test_grouped_label_sums_apply_the_one_pass_sequence(instance, budget):
-    """Moved in groups of 1 to 6 entries, so rows split across groups, every
-    update equals the one-pass formula bit for bit on 0/1, count and
-    real-weighted graphs: all subtractions still come before all additions."""
+    """Moved in groups of 1 to 6 entries, so single rows longer than the budget
+    form their own runs, every update equals the one-pass formula bit for bit
+    on 0/1, count and real-weighted graphs: all subtractions still come before
+    all additions."""
     _, adj, conn, chain = instance
     kernel, k = CostKernel(adj, make_loss("squared")), conn.k
     with mock.patch.object(losses, "_SCATTER_ENTRIES", budget):
@@ -392,6 +393,20 @@ class TestTransportPlan:
     def test_rejects_bad_row_sums(self):
         with pytest.raises(ValueError):
             TransportPlan(np.full((2, 2), 0.3))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros((0, 2)), "plan must be a nonempty 2-d array"),
+            (np.full(4, 0.25), "plan must be a nonempty 2-d array"),
+            (np.full((2, 2), np.nan), "plan entries must be finite"),
+            # every row within ROW_SUM_TOL of 1/20, the total 1.8e-9 over one
+            (np.full((20, 1), 1 / 20 + 0.9e-10), "plan total mass must be 1"),
+        ],
+    )
+    def test_rejects_malformed_matrices(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            TransportPlan(matrix)
 
     def test_matrix_read_only(self):
         plan = TransportPlan(np.full((2, 2), 0.25))

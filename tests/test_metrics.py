@@ -27,6 +27,22 @@ label_pairs = st.integers(2, 60).flatmap(
 )
 
 
+@pytest.mark.parametrize(
+    "score, args, message",
+    [
+        (ari, (np.array([0.0, 1.0]), np.array([0, 1])), "labels must be a vector of integers"),
+        (ari, (np.array([], dtype=np.int64), np.array([], dtype=np.int64)), "partitions must be nonempty"),
+        (label_accuracy, (np.array([0, 1]), np.array([0, 1, 0])), "partitions must label the same nodes"),
+        (connectivity_error, (np.eye(2), np.eye(2), np.array([0, 1]), np.array([0, 1, 1])),
+         "partitions must label the same nodes"),
+        (aligned_plan_error, (np.full((2, 2), 0.25), np.array([0, 1, 1])), "labels and plan disagree on n"),
+    ],
+)
+def test_scores_refuse_malformed_labels(score, args, message):
+    with pytest.raises(ValueError, match=message):
+        score(*args)
+
+
 class TestAri:
     def test_identical_partitions(self):
         z = np.array([0, 1, 1, 2, 0])
@@ -114,6 +130,7 @@ class TestConnectivityError:
             ConnectivityMatrix(shifted), ConnectivityMatrix(theta), z, z
         )
         assert err == pytest.approx(0.01 * np.sqrt(2.0), abs=1e-12)
+        assert connectivity_error(shifted, theta, z, z) == err  # plain arrays read alike
 
     def test_collapsed_fit_padded_with_neutral_value(self):
         """A fit that kept one cluster compares against truth padded at 0.5."""

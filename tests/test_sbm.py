@@ -192,6 +192,8 @@ def test_sample_graph_validates_shapes():
         sample_graph(conn, balanced_proportions(3), 10, seed=0)
     with pytest.raises(ValueError):
         sample_graph(conn, balanced_proportions(2), 1, seed=0)
+    with pytest.raises(ValueError, match="edge probabilities must lie in"):
+        sample_graph(ConnectivityMatrix([[1.5]]), balanced_proportions(1), 10, seed=0)
 
 
 class TestTypeValidation:
@@ -299,7 +301,30 @@ class TestTypeValidation:
             Labels(np.array([0, 2]), 2)
         with pytest.raises(ValueError):
             Labels(np.array([0.5, 1.0]), 2)
+        with pytest.raises(ValueError, match="labels must be a vector"):
+            Labels(np.zeros((2, 2), dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="label range k must be positive"):
+            Labels(np.array([0]), 0)
         assert Labels(np.array([0, 1]), 2).values.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: AdjacencyMatrix(np.zeros((2, 3))), "adjacency matrix must be square"),
+            (lambda: AdjacencyMatrix(np.zeros((0, 0))), "adjacency matrix must be nonempty"),
+            (lambda: adjacency_from_edges(0, [], []), "a graph needs at least one node"),
+            (lambda: ConnectivityMatrix(np.zeros((2, 3))), "must be square and nonempty"),
+            (lambda: ConnectivityMatrix([[np.nan]]), "connectivity entries must be finite"),
+            (lambda: Proportions(np.array([])), "proportions must be a nonempty vector"),
+            (lambda: balanced_proportions(0), "k must be positive"),
+            (lambda: unbalanced_proportions(0), "k must be positive"),
+            (lambda: block_densities(AdjacencyMatrix(np.zeros((3, 3))), Labels(np.zeros(2, np.int64), 1)),
+             "labels and adjacency disagree on n"),
+        ],
+    )
+    def test_malformed_inputs_are_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestGraphIO:
@@ -457,6 +482,16 @@ class TestGraphIO:
         path = tmp_path / "m.csv"
         graphio.write_matrix_csv(mat, path)
         assert np.array_equal(graphio.read_matrix_csv(path), mat)
+
+    def test_label_and_matrix_files_refuse_empty_or_flat_input(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n  \n")
+        with pytest.raises(ValueError, match="empty labels file"):
+            graphio.read_labels(path)
+        with pytest.raises(ValueError, match="empty matrix file"):
+            graphio.read_matrix_csv(path)
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            graphio.write_matrix_csv(np.zeros(3), path)
 
 
 @given(case=oracles.edge_keys())

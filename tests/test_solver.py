@@ -264,6 +264,25 @@ class TestFrankWolfe:
         assert np.array_equal(np.count_nonzero(products[1], axis=1), np.ones(n))
         assert not np.array_equal(t, t0)
 
+    def test_start_objective_adds_the_prices(self, monkeypatch):
+        """Restarted from its own stall point with every cluster priced at the start
+        cost ``c = <cost(t1), t1>``, Frank-Wolfe starts at objective ``2c``, so the
+        relative stall test stops it after one step; a start objective that
+        subtracted the prices would sit near zero and run on."""
+        adj, _ = sample_graph(build_scenario("assortative", 3, 0.3, 0.08), balanced_proportions(3), 60, seed=25)
+        loss = make_loss("bernoulli_nll")
+        kernel = CostKernel(adj, loss)
+        theta = loss.prepare_theta(build_scenario("assortative", 4, 0.25, 0.07))
+        t1 = solver._fw_core(kernel, theta, spectral_init(adj, 4, 25).matrix, np.zeros(4))
+        # t1 ended on a stall, not a fixed point: unpriced, the run still moves it
+        assert not np.array_equal(solver._fw_core(kernel, theta, t1, np.zeros(4)), t1)
+        prices = np.full(4, np.vdot(kernel.cost(t1, theta), t1))
+        got = solver._fw_core(kernel, theta, t1, prices)
+        monkeypatch.setattr(solver, "FW_MAX_ITERS", 1)
+        one_step = solver._fw_core(kernel, theta, t1, prices)
+        assert not np.array_equal(one_step, t1)
+        assert np.array_equal(got, one_step)
+
     def test_every_run_takes_one_price_per_cluster(self, monkeypatch):
         """Frank-Wolfe's linear term is k cluster prices: zeros in ``fw_solve``, and in
         each majorize-minimize round the penalty's tangent at that round's start."""
