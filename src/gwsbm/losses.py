@@ -61,9 +61,8 @@ class CompositeLoss:
     """A decomposable inner loss together with its parameter domain.
 
     ``b_lo``/``b_hi`` bound the open domain of the second argument;
-    ``theta_clamp`` is the closed interval connectivity values are clipped
-    into; ``theta_inverse_map`` turns a weighted mean of first arguments
-    into the optimal second argument.
+    ``theta_inverse_map`` turns a weighted mean of first arguments into
+    the optimal second argument.
     """
 
     kind: str
@@ -73,7 +72,12 @@ class CompositeLoss:
     b_lo: float
     b_hi: float
     theta_inverse_map: Callable[[np.ndarray], np.ndarray]
-    theta_clamp: tuple[float, float]
+
+    @property
+    def theta_clamp(self) -> tuple[float, float]:
+        """The closed interval connectivity values are clipped into:
+        ``PROB_MARGIN`` inside each finite bound of the domain."""
+        return self.b_lo + PROB_MARGIN, self.b_hi - PROB_MARGIN
 
     def __call__(self, a, b):
         """Evaluate loss(a, b) elementwise."""
@@ -129,7 +133,6 @@ def make_loss(kind: str) -> CompositeLoss:
             b_lo=-np.inf,
             b_hi=np.inf,
             theta_inverse_map=_identity,
-            theta_clamp=(-np.inf, np.inf),
         )
     if kind == "bernoulli_nll":
         return CompositeLoss(
@@ -140,7 +143,6 @@ def make_loss(kind: str) -> CompositeLoss:
             b_lo=0.0,
             b_hi=1.0,
             theta_inverse_map=_identity,
-            theta_clamp=(PROB_MARGIN, 1.0 - PROB_MARGIN),
         )
     if kind == "poisson_nll":
         # Imported here: scipy.special costs ~0.3 s to load and only this loss uses it.
@@ -154,7 +156,6 @@ def make_loss(kind: str) -> CompositeLoss:
             b_lo=0.0,
             b_hi=np.inf,
             theta_inverse_map=_identity,
-            theta_clamp=(PROB_MARGIN, np.inf),
         )
     if kind == "exponential_nll":
         return CompositeLoss(
@@ -165,7 +166,6 @@ def make_loss(kind: str) -> CompositeLoss:
             b_lo=0.0,
             b_hi=np.inf,
             theta_inverse_map=lambda x: 1.0 / np.maximum(x, PROB_MARGIN),
-            theta_clamp=(PROB_MARGIN, np.inf),
         )
     raise ValueError(f"unknown loss kind: {kind!r}")
 

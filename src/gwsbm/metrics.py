@@ -25,6 +25,8 @@ def _label_values(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("labels must be a vector of integers")
+    if arr.size and arr.min() < 0:
+        raise ValueError("labels must be nonnegative")
     return arr.astype(np.int64)
 
 

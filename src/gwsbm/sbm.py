@@ -97,72 +97,52 @@ def adjacency_from_edges(n: int, i, j) -> AdjacencyMatrix:
     """Binary graph on ``n`` nodes with an edge for each pair ``(i[e], j[e])``.
 
     Pairs must be integers with ``0 <= i < j < n``, else ``ValueError``.
-    They may come in any order, and a repeated pair is stored once.
+    They may come in any order and integer dtype; a repeated pair is stored
+    once.  The canonical CSR arrays are built in numpy without a COO copy:
+    both halves of A are keyed ``row * n + column`` into one int64 buffer,
+    sorted in place and cut to its distinct keys only when some repeat.
+    Row r starts at the first key ``>= r * n``, and the keys reduced ``% n``
+    are the columns.  The narrowed columns and the float64 ones come after
+    the keys, so the build peaks near the pairs plus the CSR.  The arrays
+    are wrapped without the copy and the symmetry check the
+    ``AdjacencyMatrix`` constructor makes of other inputs.
     """
     i, j = np.asarray(i), np.asarray(j)
     if n < 1:
         raise ValueError("a graph needs at least one node")
     if i.ndim != 1 or i.shape != j.shape:
         raise ValueError("edge endpoints must be two vectors of one length")
-    if i.size and not (np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)):
+    if not i.size:  # plain empty lists come as float64
+        i = j = np.empty(0, np.int64)
+    if not (np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)):
         raise ValueError("edge endpoints must be integers")
-    i, j = _canonical_pairs(n, i.astype(np.int64, copy=False), j.astype(np.int64, copy=False))
-    return _adjacency_from_pairs(n, i, j)
+    if not np.all((0 <= i) & (i < j) & (j < n)):
+        raise ValueError(f"edges must satisfy 0 <= i < j < n = {n}")
+    m = i.size
+    keys = np.empty(2 * m, np.int64)
+    upper, lower = keys[:m], keys[m:]
+    np.multiply(i, n, out=upper, dtype=np.int64)
+    np.add(upper, j, out=upper, dtype=np.int64)
+    np.multiply(j, n, out=lower, dtype=np.int64)
+    np.add(lower, i, out=lower, dtype=np.int64)
+    del upper, lower
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):  # repeated pairs: keep each key's first copy
+        keys = keys[np.insert(keys[1:] != keys[:-1], 0, True)]
+    index = _index_dtype(n, keys.size // 2)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(index)
+    np.remainder(keys, n, out=keys)
+    indices = keys.astype(index)
+    del keys
+    adj = object.__new__(AdjacencyMatrix)
+    _freeze(adj, indptr, indices, np.ones(indices.size))
+    return adj
 
 
 def _index_dtype(n: int, m: int) -> type:
     """Index dtype of the CSR array of ``m`` edges on ``n`` nodes: int32 while
     ``n`` and its ``2 m`` entries fit, as scipy picks it for such an array."""
     return np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
-
-
-def _canonical_pairs(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """New arrays of the int64 pairs ``(i, j)``, each checked to satisfy
-    ``0 <= i < j < n`` (else ``ValueError``), in row-major order without
-    repeats and in the CSR's index dtype.
-
-    Pairs already in strictly increasing row-major order are only narrowed;
-    others are keyed ``i * n + j``, sorted and deduplicated first.
-    """
-    if not np.all((0 <= i) & (i < j) & (j < n)):
-        raise ValueError(f"edges must satisfy 0 <= i < j < n = {n}")
-    if not np.all((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))):
-        i, j = np.divmod(np.unique(i * n + j), n)
-    index = _index_dtype(n, i.size)
-    return i.astype(index), j.astype(index)
-
-
-def _adjacency_from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyMatrix:
-    """The graph with an edge for each pair ``(i[e], j[e])``: pairs with
-    ``0 <= i < j < n`` in strictly increasing row-major order, in the index
-    dtype :func:`_index_dtype` gives.
-
-    Builds the canonical CSR arrays in numpy, in O(|E| + n) memory.  Row r
-    holds the pairs with ``i == r`` and those with ``j == r``, so ``indptr``
-    is the running sum of two ``bincount``s.  Both halves of A are keyed
-    ``row * n + column`` into one int64 buffer, filled and sorted in place
-    and reduced ``% n`` to the columns, row-major with each row's ascending;
-    the narrowed columns and the float64 ones come after, so the build peaks
-    near the pairs plus the CSR.  The arrays are wrapped without the copy
-    and the symmetry check the ``AdjacencyMatrix`` constructor makes of
-    other inputs.
-    """
-    m = i.size
-    indptr = np.zeros(n + 1, i.dtype)
-    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=indptr[1:])
-    keys = np.empty(2 * m, np.int64)
-    upper, lower = keys[:m], keys[m:]
-    np.multiply(i, n, out=upper, dtype=np.int64)
-    upper += j
-    np.multiply(j, n, out=lower, dtype=np.int64)
-    lower += i
-    keys.sort()
-    np.remainder(keys, n, out=keys)
-    indices = keys.astype(i.dtype)
-    del keys, upper, lower
-    adj = object.__new__(AdjacencyMatrix)
-    _freeze(adj, indptr, indices, np.ones(indices.size))
-    return adj
 
 
 @dataclass(frozen=True)
@@ -325,7 +305,9 @@ def sample_graph(
     read; PCG64 makes one 64-bit draw per double, so the graph is the one
     the single n x n draw gives, in O(|E| + n) memory.  Time stays
     Theta(n^2).  The rows' columns fill one buffer that doubles when full,
-    so a sample leaves no n small arrays freed across the heap.
+    so a sample leaves no n small arrays freed across the heap.  The pairs,
+    narrowed to the CSR's index dtype, go to :func:`adjacency_from_edges`,
+    so sampling peaks near 1.4 times the CSR's bytes.
     """
     if conn.k != props.k:
         raise ValueError("connectivity and proportions disagree on k")
@@ -351,11 +333,11 @@ def sample_graph(
         np.add(hits, i + 1, out=columns[m : m + hits.size])
         counts[i] = hits.size
         m += hits.size
-    index = _index_dtype(n, m)
-    j = columns[:m].astype(index)  # row-major, columns ascending
+    index = _index_dtype(n, m)  # narrowed pairs take half the memory of int64 ones
+    j = columns[:m].astype(index)
     del columns
     i = np.repeat(np.arange(n - 1, dtype=index), counts)
-    return _adjacency_from_pairs(n, i, j), Labels(z, conn.k)
+    return adjacency_from_edges(n, i, j), Labels(z, conn.k)
 
 
 def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:

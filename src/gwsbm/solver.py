@@ -243,6 +243,11 @@ def _fw_core(
     return t
 
 
+def _feasible(plan0) -> TransportPlan:
+    """``plan0`` as a plan: a raw array must pass the ``TransportPlan`` checks."""
+    return plan0 if isinstance(plan0, TransportPlan) else TransportPlan(plan0)
+
+
 def fw_solve(adj, loss: CompositeLoss, conn, plan0: TransportPlan) -> TransportPlan:
     """Minimize the objective at fixed connectivity from a feasible start.
 
@@ -250,7 +255,7 @@ def fw_solve(adj, loss: CompositeLoss, conn, plan0: TransportPlan) -> TransportP
     returns without penalty.  Ties in the row-wise oracle resolve to the
     lowest cluster index, so runs are deterministic.
     """
-    kernel, t0, theta = _checked_kernel(adj, loss, plan0, conn)
+    kernel, t0, theta = _checked_kernel(adj, loss, _feasible(plan0), conn)
     return TransportPlan(_fw_core(kernel, theta, t0, np.zeros(t0.shape[1])))
 
 
@@ -296,7 +301,7 @@ def mm_solve(
     sparsity = _check_sparsity(sparsity)
     if not sparsity:
         return fw_solve(adj, loss, conn, plan0)
-    kernel, t0, theta = _checked_kernel(adj, loss, plan0, conn)
+    kernel, t0, theta = _checked_kernel(adj, loss, _feasible(plan0), conn)
     return TransportPlan(_mm_core(kernel, theta, t0, kernel.pair_summaries(t0), sparsity)[0])
 
 
@@ -319,7 +324,7 @@ def bcd_fit(
     """
     sparsity = _check_sparsity(sparsity)
     start = time.perf_counter()
-    kernel, t, _ = _checked_kernel(adj, loss, plan0)
+    kernel, t, _ = _checked_kernel(adj, loss, _feasible(plan0))
     history: list[float] = []
     summ = kernel.pair_summaries(t)
     conn, _ = _refit(summ, loss, sparsity)

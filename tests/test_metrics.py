@@ -36,6 +36,10 @@ label_pairs = st.integers(2, 60).flatmap(
         (connectivity_error, (np.eye(2), np.eye(2), np.array([0, 1]), np.array([0, 1, 1])),
          "partitions must label the same nodes"),
         (aligned_plan_error, (np.full((2, 2), 0.25), np.array([0, 1, 1])), "labels and plan disagree on n"),
+        (aligned_plan_error, (labels_to_plan(Labels([0, 1, 2], 3)), np.array([2, 1, -1])),
+         "labels must be nonnegative"),
+        (label_accuracy, (np.array([0, 1, 2]), np.array([2, 1, -1])), "labels must be nonnegative"),
+        (ari, (np.array([0, 1, 2]), np.array([2, 1, -1])), "labels must be nonnegative"),
     ],
 )
 def test_scores_refuse_malformed_labels(score, args, message):

@@ -410,6 +410,7 @@ class TestGraphIO:
             ("3\n2 -1\n", r"edge \(2, -1\) out of range for n=3"),
             ("4\n0 1\n\n 2 9 \n", r"edge \(2, 9\) out of range for n=4"),
             ("3\n\n  \n", []),
+            ("3\n0 4294967296\n", r"edge \(0, 4294967296\) out of range for n=3"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -433,10 +434,10 @@ class TestGraphIO:
 
     def test_reader_memory_stays_below_two_csr_sizes(self, tmp_path):
         """n=3000 at mean degree ~50: the body streams into the parser, and the
-        parsed int64 pairs are narrowed and dropped before the CSR is built
-        from them, so the traced peak stays near the pairs plus the CSR
-        (1.34x its bytes), where holding the parse, the keys and a COO copy
-        beside the CSR peaked at 3.32x."""
+        CSR is built from the parsed int32 pairs' two column views, so the
+        traced peak stays near the pairs plus the CSR (1.33x its bytes),
+        where holding an int64 parse, the keys and a COO copy beside the CSR
+        peaked at 3.32x."""
         n = 3000
         adj, _ = sample_graph(build_scenario("assortative", 3, 1 / 30, 1 / 120),
                               balanced_proportions(3), n, seed=0)
@@ -451,6 +452,26 @@ class TestGraphIO:
         csr = back.csr
         assert_same_csr(back, adj)
         assert peak <= 2.0 * (csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes)
+
+    def test_shuffled_read_memory_stays_below_one_and_a_half_csr_sizes(self, tmp_path):
+        """n=3000 at mean degree ~50, lines shuffled: the int32 parse goes to the
+        builder, which sorts its own keys, so the traced peak stays near the
+        parse plus the CSR (1.33x its bytes), where re-sorting the pairs
+        before the build peaked at 1.66x."""
+        adj, _ = sample_graph(build_scenario("assortative", 3, 1 / 30, 1 / 120),
+                              balanced_proportions(3), 3000, seed=0)
+        path = tmp_path / "graph.txt"
+        graphio.write_edge_list(adj, path)
+        head, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([head] + np.random.default_rng(0).permutation(lines).tolist()) + "\n")
+        tracemalloc.start()
+        try:
+            back = graphio.read_edge_list(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_csr(back, adj)
+        assert peak <= 1.5 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
 
     def test_writer_memory_stays_below_one_csr_size(self, tmp_path):
         """n=3000 at mean degree ~50: the upper-triangle pairs are formatted
@@ -500,9 +521,9 @@ class TestGraphIO:
 @example(case=(2, [1, 1]))
 @settings(max_examples=200, deadline=None)
 def test_csr_builder_matches_the_coo_round_trip(case):
-    """The sampler's path (distinct pairs in row-major order, in the index
-    dtype), ``adjacency_from_edges`` and the reader build the COO to CSR
-    pass's arrays, dtypes included: with no edges, on one or two nodes, for
+    """``adjacency_from_edges`` on the sampler's pairs (distinct, in row-major
+    order, in the index dtype) and on any int64 pairs, and the reader, build
+    the COO to CSR pass's arrays, dtypes included: with no edges, on one or two nodes, for
     K_n, with isolated nodes and with repeated and shuffled pairs."""
     n, keys = case
     want = oracles.csr_by_coo(n, keys)
@@ -511,7 +532,7 @@ def test_csr_builder_matches_the_coo_round_trip(case):
     unique = np.unique(keys)
     index = sbm._index_dtype(n, unique.size)
     iu, ju = (part.astype(index) for part in np.divmod(unique, n))
-    built = [sbm._adjacency_from_pairs(n, iu, ju), adjacency_from_edges(n, i, j)]
+    built = [adjacency_from_edges(n, iu, ju), adjacency_from_edges(n, i, j)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.txt"
         path.write_text(f"{n}\n" + "".join(f"{a} {b}\n" for a, b in zip(i.tolist(), j.tolist())))
@@ -534,6 +555,23 @@ class TestSingleRepresentation:
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(adj.csr, name), getattr(want, name))
         assert adj.edge_count() == 4
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [
+            ([], []),
+            (np.array([1, 0, 0], np.int32), np.array([2, 1, 2], np.int64)),
+            (np.array([1, 0, 0], np.uint64), np.array([2, 1, 2], np.int64)),
+        ],
+        ids=["empty_lists", "int32_with_int64", "uint64_with_int64"],
+    )
+    def test_adjacency_from_edges_takes_any_integer_pairs(self, i, j):
+        """Plain empty lists (float64 to numpy) build the edgeless graph, and
+        endpoints of two integer dtypes key as int64."""
+        dense = np.zeros((3, 3))
+        for a, b in zip(i, j):
+            dense[a, b] = dense[b, a] = 1.0
+        assert_same_csr(adjacency_from_edges(3, i, j), AdjacencyMatrix(dense))
 
     def test_reader_orders_and_dedupes_a_shuffled_edge_list(self, tmp_path):
         """Any order, repeats included, reads to the sorted list's canonical CSR."""

@@ -93,6 +93,26 @@ def test_sparsity_must_be_a_finite_nonnegative_real(bad):
         bcd_fit(adj, make_loss("bernoulli_nll"), uniform_plan(2, 2), sparsity=bad)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda adj, loss, theta, t: fw_solve(adj, loss, theta, t).matrix,
+        lambda adj, loss, theta, t: mm_solve(adj, loss, theta, t, sparsity=0.1).matrix,
+        lambda adj, loss, theta, t: bcd_fit(adj, loss, t).plan.matrix,
+    ],
+    ids=["fw_solve", "mm_solve", "bcd_fit"],
+)
+def test_solvers_refuse_an_infeasible_start(solve):
+    """A raw start passes the ``TransportPlan`` checks: rows summing to 2 are
+    refused, and a feasible array solves as its plan does."""
+    adj, theta = one_edge_instance()
+    loss = make_loss("bernoulli_nll")
+    with pytest.raises(ValueError, match="plan rows must each sum to 1/n"):
+        solve(adj, loss, theta, np.ones((2, 2)))
+    raw = np.array([[0.5, 0.0], [0.25, 0.25]])
+    assert np.array_equal(solve(adj, loss, theta, raw), solve(adj, loss, theta, TransportPlan(raw)))
+
+
 class TestFrankWolfe:
     def test_single_column_is_fixed_point(self):
         rng = np.random.default_rng(1)
