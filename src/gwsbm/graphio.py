@@ -17,9 +17,10 @@ import numpy as np
 from .sbm import AdjacencyMatrix, Labels, adjacency_from_edges
 
 
-#: Edges formatted per write by :func:`write_edge_list`, so the text of a
-#: large graph is never held whole; its Python ints and strings stay near 1 MB.
-_EDGE_CHUNK = 1 << 12
+#: CSR entries formatted per write by :func:`write_edge_list`.  A chunk's
+#: row and column indices, its line buffer and its text take a few tens of
+#: bytes per entry, a few hundred kB whatever the graph's size.
+_EDGE_CHUNK = 1 << 13
 
 
 def _atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
@@ -41,22 +42,38 @@ def _atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
 
 
 def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
-    """Write a 0/1 graph as an edge list; a weighted graph raises ``ValueError``."""
+    """Write a 0/1 graph as an edge list; a weighted graph raises ``ValueError``.
+
+    The text is formatted in numpy, one chunk of CSR entries at a time: the
+    chunk's upper-triangle pairs gather their endpoints from a table of
+    every node's decimal digits, NUL-padded to one width (``n`` times that
+    width in bytes), into fixed-width ``"i j\\n"`` records, and dropping the
+    NUL bytes leaves the chunk's lines.
+    """
     if np.any(adj.data != 1.0):
         raise ValueError("edge lists hold 0/1 graphs only; this graph has weighted edges")
     indptr, indices = adj.indptr, adj.indices
-    # the canonical CSR's order: row-major, columns sorted
-    i = np.repeat(np.arange(adj.n, dtype=indices.dtype), np.diff(indptr))
-    upper = i < indices
-    iu, ju = i[upper], indices[upper]
-    del i, upper
+    digits = np.arange(adj.n, dtype=indices.dtype).astype(f"S{len(str(adj.n - 1))}")
+    record = [("i", digits.dtype), ("sep", "S1"), ("j", digits.dtype), ("end", "S1")]
+    lines = np.empty(min(_EDGE_CHUNK, indices.size), record)
+    lines["sep"], lines["end"] = b" ", b"\n"
 
     def chunks():
         yield f"{adj.n}\n"
-        for start in range(0, iu.size, _EDGE_CHUNK):
-            rows = iu[start : start + _EDGE_CHUNK].tolist()
-            cols = ju[start : start + _EDGE_CHUNK].tolist()
-            yield "".join(f"{i} {j}\n" for i, j in zip(rows, cols))
+        for start in range(0, indices.size, _EDGE_CHUNK):
+            stop = min(start + _EDGE_CHUNK, indices.size)
+            # rows first .. last - 1 hold the chunk's entries; the canonical CSR is
+            # row-major with sorted columns, so the lines come out in that order
+            first = np.searchsorted(indptr, start, side="right") - 1
+            last = np.searchsorted(indptr, stop)
+            counts = np.diff(np.clip(indptr[first : last + 1], start, stop))
+            rows = np.repeat(np.arange(first, last, dtype=indices.dtype), counts)
+            cols = indices[start:stop]
+            upper = rows < cols
+            chunk = lines[: np.count_nonzero(upper)]
+            chunk["i"], chunk["j"] = digits[rows[upper]], digits[cols[upper]]
+            text = chunk.view(np.uint8)
+            yield text[text != 0].tobytes().decode("ascii")
 
     _atomic_write_text(path, chunks())
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -328,7 +327,10 @@ def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int 
     as ``cell_fn(config, key, *params)`` and returns the cell's rows.  Two
     cells with one key (a repeated grid value, or two that agree in the
     key's 8 significant digits) would share one shard, so they are an error.
+    ``jobs`` is ``None`` (one process) or a positive worker count.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be a positive number of worker processes, got {jobs}")
     keys = [key for key, _, _ in cells]
     repeated = sorted({key for key in keys if keys.count(key) > 1})
     if repeated:
@@ -344,6 +346,9 @@ def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int 
     with ExitStack() as stack:
         mapper = map
         if n_jobs > 1:
+            # imported here: the pool's modules (multiprocessing) load only for a parallel run
+            from concurrent.futures import ProcessPoolExecutor
+
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=n_jobs)).map
         for key, text in mapper(_compute_cell, pending):
             graphio._atomic_write_text(cells_dir / f"{key}.csv", text)

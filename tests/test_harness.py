@@ -373,13 +373,31 @@ class TestSweeps:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # the pool is looked up in concurrent.futures when a run needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         config = tiny_config(tmp_path, p_in_grid=[0.3, 0.4, 0.5], seeds=[0])
         run_ari_sweep(config, jobs=5000)
         assert pools == [3]
         (tmp_path / "out.csv.cells" / "ari_srgw_nll_pin0.4.csv").unlink()
         run_ari_sweep(config, jobs=5000)
         assert pools == [3]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_non_positive_jobs_are_refused(self, tmp_path, jobs, capsys):
+        """``jobs`` counts worker processes, so zero or fewer is an error from every
+        ``run_*`` and from ``--jobs`` (exit 1), before any cell is computed."""
+        config = tiny_config(tmp_path, p_in_grid=[0.3], seeds=[0], n_grid=[20],
+                             sparsity_grid=[0.0])
+        for run in (run_ari_sweep, run_lambda_sweep, run_consistency):
+            with pytest.raises(ValueError, match=f"positive number of worker processes, got {jobs}"):
+                run(config, jobs=jobs)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        argv = ["experiment", "ari-sweep", "--config", str(path), "--jobs", str(jobs)]
+        assert cli_dispatch(argv) == 1
+        assert f"got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv.cells").exists()
+        assert not Path(config.output_path).exists()
 
     def test_parallel_cells_match_serial_ones(self, tmp_path):
         """Two worker processes write the same rows as one process does."""

@@ -7,8 +7,11 @@ that need them import them inside the functions that call them.
 ``RANDOMIZED_CUTOFF``; larger graphs never need it.  ``scipy.sparse`` itself
 is loaded by the first product with A (a spectral start or a ``CostKernel``):
 importing the package, sampling a graph, writing and reading an edge list and
-loading a config run on numpy alone.  The checks run in fresh interpreters
-because the test process has long since loaded all of scipy.
+loading a config run on numpy alone.  The process pool's modules
+(``concurrent.futures.process`` and ``multiprocessing``) load only for an
+experiment run with ``--jobs`` above 1, so those steps leave them unloaded too.
+The checks run in fresh interpreters because the test process has long since
+loaded all of scipy.
 """
 
 import json
@@ -89,11 +92,13 @@ def test_arpack_loads_only_for_a_start_below_the_randomized_cutoff(child):
 NUMPY_ONLY = """
 import contextlib, io, json, os, sys, tempfile
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+POOL = ("concurrent.futures.process", "multiprocessing")
+
+def deferred_modules():  # the scipy and process-pool modules loaded so far
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith(POOL))
 
 import gwsbm.cli
-seen = {"import": scipy_modules()}
+seen = {"import": deferred_modules()}
 from gwsbm.cli import cli_dispatch
 from gwsbm.graphio import read_edge_list
 from gwsbm.harness import ExperimentConfig
@@ -103,15 +108,15 @@ with tempfile.TemporaryDirectory() as tmp:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_dispatch(["sample", "--n", "60", "--k", "2", "--p-in", "0.3", "--p-out", "0.05",
                              "--seed", "1", "--out", graph, "--labels-out", labels])
-    seen["sample"] = scipy_modules()
+    seen["sample"] = deferred_modules()
     adj = read_edge_list(graph)
-    seen["read"] = scipy_modules()
+    seen["read"] = deferred_modules()
     with open(config, "w") as fh:
         json.dump({"scenario": "assortative", "n": 60, "k_true": 2, "k_search": 3, "p_out": 0.05,
                    "p_in_grid": [0.3], "seeds": [0], "loss": "bernoulli_nll", "method": "srgw_nll",
                    "lambda": 0.0, "output_path": os.path.join(tmp, "out.csv")}, fh)
     ExperimentConfig.from_json(config)
-    seen["config"] = scipy_modules()
+    seen["config"] = deferred_modules()
 
 if sys.argv[1] == "spectral_init":
     from gwsbm import spectral_init
