@@ -107,18 +107,20 @@ def vem_fit(
     return VemState(resp, conn, props, elbo, history)
 
 
-def _assignment_digits(start: int, stop: int, n: int, k: int) -> np.ndarray:
-    """Assignment vectors (lexicographic slice [start, stop)) as an array."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % k
-
-
-def _guard_enumeration(n: int, k: int, cap: int = ENUMERATION_CAP) -> int:
+def _guard_enumeration(n: int, k: int, cap: int) -> int:
     count = k**n
     if count > cap:
         raise ValueError(f"{k}**{n} assignments exceed the enumeration cap of {cap}")
     return count
+
+
+def _labelings(n: int, k: int, cap: int = ENUMERATION_CAP):
+    """The ``k**n`` labelings in lexicographic order, ``_CHUNK`` rows at a time; a count
+    above ``cap`` is refused at the call, before the caller builds anything."""
+    count = _guard_enumeration(n, k, cap)
+    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    starts = range(0, count, _CHUNK)
+    return ((np.arange(i, min(i + _CHUNK, count))[:, None] // powers) % k for i in starts)
 
 
 def exact_log_likelihood(adj: AdjacencyMatrix, conn: ConnectivityMatrix, props: Proportions) -> float:
@@ -135,7 +137,7 @@ def exact_log_likelihood(adj: AdjacencyMatrix, conn: ConnectivityMatrix, props: 
     k = conn.k
     if props.k != k:
         raise ValueError("connectivity and proportions disagree on k")
-    count = _guard_enumeration(n, k)
+    labelings = _labelings(n, k)
     theta = make_loss("bernoulli_nll").prepare_theta(conn)
     logp1 = np.log(theta)
     logp0 = np.log1p(-theta)
@@ -144,8 +146,7 @@ def exact_log_likelihood(adj: AdjacencyMatrix, conn: ConnectivityMatrix, props: 
     iu, ju = np.triu_indices(n, 1)
     aij = adj.entries[iu, ju]
     parts = []
-    for startv in range(0, count, _CHUNK):
-        z = _assignment_digits(startv, min(startv + _CHUNK, count), n, k)
+    for z in labelings:
         ll = logw[z].sum(axis=1)
         zi = z[:, iu]
         zj = z[:, ju]
@@ -266,7 +267,7 @@ def brute_force_srgw(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> tuple[f
     n = adj.n
     theta = loss.prepare_theta(conn)
     k = theta.shape[0]
-    count = _guard_enumeration(n, k)
+    labelings = _labelings(n, k)
     f2t = np.asarray(loss.f2(theta), dtype=np.float64)
     h2t = np.asarray(loss.h2(theta), dtype=np.float64)
     iu, ju = np.triu_indices(n, 1)
@@ -274,8 +275,7 @@ def brute_force_srgw(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> tuple[f
     f1a = float(np.asarray(loss.f1(aij), dtype=np.float64).sum())
     best_val = np.inf
     best_z = None
-    for startv in range(0, count, _CHUNK):
-        z = _assignment_digits(startv, min(startv + _CHUNK, count), n, k)
+    for z in labelings:
         zi = z[:, iu]
         zj = z[:, ju]
         pair = (f2t[zi, zj] - aij[None, :] * h2t[zi, zj]).sum(axis=1)
@@ -297,11 +297,11 @@ def restarted_fw_minimum(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> flo
     n = adj.n
     theta = loss.prepare_theta(conn)
     k = theta.shape[0]
-    count = _guard_enumeration(n, k, RESTART_CAP)
+    labelings = _labelings(n, k, RESTART_CAP)
     kernel = CostKernel(adj, loss)
     best = np.inf
-    for startv in range(0, count, _CHUNK):
-        for z in _assignment_digits(startv, min(startv + _CHUNK, count), n, k):
+    for chunk in labelings:
+        for z in chunk:
             t = _fw_core(kernel, theta, labels_to_plan(Labels(z, k)).matrix, np.zeros(k))
             best = min(best, kernel.objective(TransportPlan(t).matrix, theta))
     return best

@@ -147,15 +147,27 @@ def write_labels(labels: Labels, path: str | Path) -> None:
     _atomic_write_text(path, "\n".join(str(int(v)) for v in labels.values) + "\n")
 
 
+def _read_rows(path: str | Path, what: str, dtype, delimiter: str | None = None) -> np.ndarray:
+    """A labels or matrix file's nonblank lines, parsed by ``np.loadtxt`` into a 2-d array."""
+    with open(path) as fh:
+        lines = [line for line in fh if line.strip()]
+    if not lines:  # loadtxt would only warn that the file holds no data
+        raise ValueError(f"{path}: empty {what} file")
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_labels(path: str | Path, k: int | None = None) -> Labels:
     """Read labels; the range defaults to one past the largest value."""
-    with open(path) as fh:
-        values = [int(line.strip()) for line in fh if line.strip()]
-    if not values:
-        raise ValueError(f"{path}: empty labels file")
-    if k is None:
-        k = max(values) + 1
-    return Labels(np.array(values, dtype=np.int64), k)
+    rows = _read_rows(path, "labels", np.int64)
+    if rows.shape[1] != 1:
+        raise ValueError(f"{path}: {rows.shape[1]} values on one line; labels go one per line")
+    try:
+        return Labels(rows[:, 0], int(rows.max()) + 1 if k is None else k)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
@@ -169,12 +181,4 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix_csv`."""
-    with open(path) as fh:
-        rows = [
-            [float(x) for x in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    return np.array(rows, dtype=np.float64)
+    return _read_rows(path, "matrix", np.float64, ",")

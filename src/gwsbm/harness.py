@@ -50,9 +50,9 @@ class ExperimentConfig:
 
     ``sparsity`` may be the string ``"auto"`` (resolved to
     ``k_search / (2 n)``), a number, or ``None`` when ``sparsity_grid``
-    drives a penalty sweep.  ``n_grid`` is only read by the consistency
-    experiment.  The JSON spelling of the two penalty fields is
-    ``lambda`` / ``lambda_grid``.
+    drives a penalty sweep, which like the consistency ladder (the only
+    reader of ``n_grid``) needs exactly one ``p_in_grid`` value.  The JSON
+    spelling of the two penalty fields is ``lambda`` / ``lambda_grid``.
     """
 
     scenario: str
@@ -206,6 +206,14 @@ def _parse_rows(csv_path: str | Path, row_type: type = ResultRow) -> list:
     return rows
 
 
+def _planted(config: ExperimentConfig, p_in: float, n: int, seed: int, k: int):
+    """One seed's planted connectivity, ``n``-node graph, planted labels and ``k``-cluster start."""
+    conn_star = build_scenario(config.scenario, config.k_true, p_in, config.p_out)
+    props = make_proportions(config.proportions, config.k_true)
+    adj, labels_star = sample_graph(conn_star, props, n, seed)
+    return conn_star, adj, labels_star, spectral_init(adj, k, seed)
+
+
 def _fit_one_seed(
     config: ExperimentConfig,
     p_in: float,
@@ -213,10 +221,7 @@ def _fit_one_seed(
     seed: int,
 ) -> tuple[ResultRow, TransportPlan | None]:
     n = config.n
-    conn_star = build_scenario(config.scenario, config.k_true, p_in, config.p_out)
-    props = make_proportions(config.proportions, config.k_true)
-    adj, labels_star = sample_graph(conn_star, props, n, seed)
-    plan0 = spectral_init(adj, config.k_search, seed)
+    conn_star, adj, labels_star, plan0 = _planted(config, p_in, n, seed, config.k_search)
     start = time.perf_counter()
     if config.method == "vem":
         state = vem_fit(adj, config.k_search, plan0.matrix * n)
@@ -256,7 +261,7 @@ def _sweep_cell(
     return rows
 
 
-def _ladder_cell(config: ExperimentConfig, key: str, n: int) -> list[ConsistencyRow]:
+def _ladder_cell(config: ExperimentConfig, key: str, n: int, p_in: float) -> list[ConsistencyRow]:
     """Every seed of one consistency rung (graph size ``n``).
 
     Per seed: (a) solve the plan at the true connectivity from a spectral
@@ -264,14 +269,10 @@ def _ladder_cell(config: ExperimentConfig, key: str, n: int) -> list[Consistency
     relabeling); (b) run the full alternating fit without penalty and
     record the aligned connectivity error.
     """
-    p_in = config.p_in_grid[0]
     loss = make_loss(config.loss)
-    conn_star = build_scenario(config.scenario, config.k_true, p_in, config.p_out)
-    props = make_proportions(config.proportions, config.k_true)
     rows = []
     for seed in config.seeds:
-        adj, labels_star = sample_graph(conn_star, props, n, seed)
-        plan0 = spectral_init(adj, config.k_true, seed)
+        conn_star, adj, labels_star, plan0 = _planted(config, p_in, n, seed, config.k_true)
         start = time.perf_counter()
         plan_err = aligned_plan_error(fw_solve(adj, loss, conn_star, plan0), labels_star)
         result = bcd_fit(adj, loss, plan0)
@@ -282,6 +283,12 @@ def _ladder_cell(config: ExperimentConfig, key: str, n: int) -> list[Consistency
             seed=seed, plan_l1_error=plan_err, theta_error=theta_err, runtime_ms=runtime_ms,
         ))
     return rows
+
+
+def _single_p_in(config: ExperimentConfig, kind: str) -> float:
+    if len(config.p_in_grid) != 1:
+        raise ValueError(f"a {kind} runs at one p_in, not the {len(config.p_in_grid)} in p_in_grid")
+    return float(config.p_in_grid[0])
 
 
 def _cells_dir(output_path: str | Path) -> Path:
@@ -378,7 +385,7 @@ def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[
         raise ValueError("penalty sweep needs a lambda_grid")
     if config.k_search > config.n:
         raise ValueError(f"k_search must be at most n = {config.n}, got {config.k_search}")
-    p_in = float(config.p_in_grid[0])
+    p_in = _single_p_in(config, "penalty sweep")
     cells = [
         (f"lam_{config.method}_lam{sparsity:.8g}", _sweep_cell, (p_in, float(sparsity)))
         for sparsity in config.sparsity_grid
@@ -396,5 +403,6 @@ def run_consistency(config: ExperimentConfig, jobs: int | None = None) -> list[C
         raise ValueError("consistency experiment needs n_grid")
     if min(config.n_grid) < max(2, config.k_true):
         raise ValueError(f"n_grid sizes must be at least max(2, k_true), got {config.n_grid}")
-    cells = [(f"ladder_n{n}", _ladder_cell, (n,)) for n in config.n_grid]
+    p_in = _single_p_in(config, "consistency ladder")
+    cells = [(f"ladder_n{n}", _ladder_cell, (n, p_in)) for n in config.n_grid]
     return _run_cells(config, ConsistencyRow, cells, jobs)

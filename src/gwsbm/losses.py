@@ -85,11 +85,6 @@ class CompositeLoss:
         b = np.asarray(b, dtype=np.float64)
         return self.f1(a) + self.f2(b) - a * self.h2(b)
 
-    def contains(self, values) -> bool:
-        """True when all values lie strictly inside the parameter domain."""
-        v = np.asarray(values, dtype=np.float64)
-        return bool(np.all(v > self.b_lo) and np.all(v < self.b_hi))
-
     def prepare_theta(self, conn) -> np.ndarray:
         """Extract loss-appropriate connectivity values.
 
@@ -102,7 +97,7 @@ class CompositeLoss:
         if isinstance(conn, ConnectivityMatrix):
             return np.clip(conn.raw, *self.theta_clamp)
         vals = ConnectivityMatrix(conn).raw
-        if not self.contains(vals):
+        if not (np.all(vals > self.b_lo) and np.all(vals < self.b_hi)):
             raise ValueError(
                 f"connectivity entries escape the {self.kind} domain; "
                 "clamp them upstream"

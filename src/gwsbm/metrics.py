@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from .initplans import labels_to_plan
 from .losses import _plan_matrix
 from .sbm import ConnectivityMatrix, Labels
 
@@ -30,6 +31,27 @@ def _label_values(labels) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _partitions(labels_a, labels_b) -> tuple[np.ndarray, np.ndarray]:
+    """The label values of two partitions, checked to label the same nonempty set of nodes."""
+    a, b = _label_values(labels_a), _label_values(labels_b)
+    if a.shape != b.shape:
+        raise ValueError("partitions must label the same nodes")
+    if a.size == 0:
+        raise ValueError("partitions must be nonempty")
+    return a, b
+
+
+def _best_matching(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """``match[p]``, the cluster of ``b`` paired with cluster ``p`` of ``a`` (both labeled
+    below ``k``) by the one-to-one pairing under which most nodes agree."""
+    # Imported here: scipy.optimize costs ~0.2 s to load and a plain fit never needs it.
+    from scipy.optimize import linear_sum_assignment
+
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (a, b), 1)
+    return linear_sum_assignment(-confusion)[1]
+
+
 def _comb2(x: int) -> int:
     return x * (x - 1) // 2
 
@@ -42,13 +64,7 @@ def ari(labels_a, labels_b) -> float:
     partitions, and can go negative for partitions that disagree more than
     chance would.
     """
-    a = _label_values(labels_a)
-    b = _label_values(labels_b)
-    if a.shape != b.shape:
-        raise ValueError("partitions must label the same nodes")
-    n = int(a.size)
-    if n == 0:
-        raise ValueError("partitions must be nonempty")
+    a, b = _partitions(labels_a, labels_b)
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     ka = int(ai.max()) + 1
@@ -58,7 +74,7 @@ def ari(labels_a, labels_b) -> float:
     sum_cells = int(sum(_comb2(int(x)) for x in contingency.ravel()))
     sum_rows = int(sum(_comb2(int(x)) for x in contingency.sum(axis=1)))
     sum_cols = int(sum(_comb2(int(x)) for x in contingency.sum(axis=0)))
-    total = _comb2(n)
+    total = _comb2(a.size)
     # exact integers: ari = (cells - rows*cols/total) / ((rows+cols)/2 - rows*cols/total)
     numerator = sum_cells * total - sum_rows * sum_cols
     denominator = (sum_rows + sum_cols) * total - 2 * sum_rows * sum_cols
@@ -80,18 +96,9 @@ def selected_k(plan) -> int:
 
 def label_accuracy(labels_hat, labels_star) -> float:
     """Fraction of nodes labeled correctly under the best cluster matching."""
-    # Imported here: scipy.optimize costs ~0.2 s to load and a plain fit never needs it.
-    from scipy.optimize import linear_sum_assignment
-
-    a = _label_values(labels_hat)
-    b = _label_values(labels_star)
-    if a.shape != b.shape:
-        raise ValueError("partitions must label the same nodes")
-    k = int(max(a.max(), b.max())) + 1
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (a, b), 1)
-    rows, cols = linear_sum_assignment(-confusion)
-    return float(confusion[rows, cols].sum()) / a.size
+    a, b = _partitions(labels_hat, labels_star)
+    match = _best_matching(a, b, int(max(a.max(), b.max())) + 1)
+    return float(np.count_nonzero(match[a] == b)) / a.size
 
 
 def _connectivity_values(conn) -> np.ndarray:
@@ -101,12 +108,7 @@ def _connectivity_values(conn) -> np.ndarray:
 
 
 def _pad(theta: np.ndarray, k: int) -> np.ndarray:
-    if theta.shape[0] == k:
-        return theta
-    out = np.full((k, k), PAD_VALUE)
-    m = theta.shape[0]
-    out[:m, :m] = theta
-    return out
+    return np.pad(theta, (0, k - theta.shape[0]), constant_values=PAD_VALUE)
 
 
 def connectivity_error(conn_hat, conn_star, labels_hat, labels_star) -> float:
@@ -121,10 +123,7 @@ def connectivity_error(conn_hat, conn_star, labels_hat, labels_star) -> float:
     """
     theta_hat = _connectivity_values(conn_hat)
     theta_star = _connectivity_values(conn_star)
-    z_hat = _label_values(labels_hat)
-    z_star = _label_values(labels_star)
-    if z_hat.shape != z_star.shape:
-        raise ValueError("partitions must label the same nodes")
+    z_hat, z_star = _partitions(labels_hat, labels_star)
     active, z_hat = np.unique(z_hat, return_inverse=True)
     theta_hat = theta_hat[np.ix_(active, active)]
     k = max(theta_hat.shape[0], theta_star.shape[0])
@@ -137,14 +136,7 @@ def connectivity_error(conn_hat, conn_star, labels_hat, labels_star) -> float:
             err = float(np.linalg.norm(theta_hat[np.ix_(p, p)] - theta_star))
             best = min(best, err)
         return best
-    # Imported here: scipy.optimize costs ~0.2 s to load and k <= 8 never needs it.
-    from scipy.optimize import linear_sum_assignment
-
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (z_hat, z_star), 1)
-    rows, cols = linear_sum_assignment(-confusion)
-    sigma = np.empty(k, dtype=np.int64)
-    sigma[cols] = rows
+    sigma = np.argsort(_best_matching(z_hat, z_star, k))  # fitted cluster of each planted one
     aligned = theta_hat[np.ix_(sigma, sigma)]
     return float(np.linalg.norm(aligned - theta_star))
 
@@ -167,8 +159,7 @@ def aligned_plan_error(plan, labels_star) -> float:
         raise ValueError("labels and plan disagree on n")
     if int(z.max()) >= k:
         raise ValueError("plan has fewer clusters than the labels use")
-    target = np.zeros((n, k))
-    target[np.arange(n), z] = 1.0 / n
+    target = labels_to_plan(Labels(z, k)).matrix
     cost = np.abs(t[:, :, None] - target[:, None, :]).sum(axis=0)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())

@@ -238,6 +238,34 @@ class TestVertexEnumeration:
             brute_force_srgw(adj, make_loss("bernoulli_nll"), theta)
 
 
+class TestChunkedEnumeration:
+    def test_small_chunks_give_the_unchunked_results(self, monkeypatch):
+        """Chunks of 7 labelings split the 3**6 = 729 labelings into 104 full
+        chunks and a last one of 1, and the best labeling lies past the first
+        chunk.  The exhaustive minimum, its labels and the restarted minimum
+        stay bit for bit those of one chunk; the likelihood, whose per-chunk
+        log-sum-exp regroups the sum, stays within 1e-12 relative."""
+        rng = np.random.default_rng(16)
+        adj = oracles.random_binary_graph(rng, 6, p=0.5)
+        theta = oracles.random_theta(rng, 3)
+        props = Proportions(np.array([0.5, 0.3, 0.2]))
+        loss = make_loss("bernoulli_nll")
+
+        def run():
+            value, labels = brute_force_srgw(adj, loss, theta)
+            restarted = restarted_fw_minimum(adj, loss, theta)
+            return value, labels.values, restarted, exact_log_likelihood(adj, theta, props)
+
+        value, labels, restarted, likelihood = run()
+        assert int(np.dot(labels, 3 ** np.arange(5, -1, -1))) >= 7
+        monkeypatch.setattr(baselines, "_CHUNK", 7)
+        value7, labels7, restarted7, likelihood7 = run()
+        assert value7 == value
+        assert np.array_equal(labels7, labels)
+        assert restarted7 == restarted
+        assert likelihood7 == pytest.approx(likelihood, rel=1e-12, abs=0.0)
+
+
 class TestRestartedSolver:
     def test_minimum_over_every_hard_start(self):
         rng = np.random.default_rng(12)

@@ -183,6 +183,24 @@ class TestConfig:
         assert f"error: {name}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv.cells").exists()
 
+    @pytest.mark.parametrize(
+        "kind, run", [("lambda-sweep", run_lambda_sweep), ("consistency", run_consistency)]
+    )
+    def test_single_rate_experiments_refuse_extra_p_in_values(self, tmp_path, capsys, kind,
+                                                              run):
+        """Penalty sweeps and ladders run at one p_in, so a second value, which no
+        row would report, is refused by the API and by the CLI (exit 1) before
+        ``<output_path>.cells/`` is created."""
+        config = tiny_config(tmp_path, n=12, k_search=3, p_in_grid=[0.4, 0.6], p_out=0.1,
+                             seeds=[0], n_grid=[12], sparsity_grid=[0.0, 0.1])
+        with pytest.raises(ValueError, match="runs at one p_in, not the 2 in p_in_grid"):
+            run(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        assert cli_dispatch(["experiment", kind, "--config", str(path)]) == 1
+        assert "runs at one p_in, not the 2 in p_in_grid" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_validation_accepts_method_loss_pairs(self, tmp_path):
         for method, loss in (("srgw_nll", "bernoulli_nll"), ("srgw_l2", "squared"),
                              ("vem", "bernoulli_nll"), ("spectral_only", "poisson_nll")):

@@ -47,6 +47,16 @@ def test_scores_refuse_malformed_labels(score, args, message):
         score(*args)
 
 
+@pytest.mark.parametrize("score", [ari, label_accuracy, connectivity_error])
+def test_scores_refuse_empty_partitions(score):
+    """All three scores share one partition check; ``label_accuracy`` used to fail
+    inside ``max()`` and ``connectivity_error`` to score no nodes at all."""
+    empty = np.array([], dtype=np.int64)
+    args = (np.eye(2), np.eye(2), empty, empty) if score is connectivity_error else (empty, empty)
+    with pytest.raises(ValueError, match="partitions must be nonempty"):
+        score(*args)
+
+
 class TestAri:
     def test_identical_partitions(self):
         z = np.array([0, 1, 1, 2, 0])

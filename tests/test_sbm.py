@@ -522,6 +522,34 @@ class TestGraphIO:
         graphio.write_matrix_csv(mat, path)
         assert np.array_equal(graphio.read_matrix_csv(path), mat)
 
+    @pytest.mark.parametrize(
+        "kind, text, expected",
+        [
+            ("labels", "0\n1_0\n2\n", "could not convert string '1_0'"),
+            ("labels", "3.0\n", "could not convert string '3.0'"),
+            ("labels", "0 1\n2 0\n", "2 values on one line"),
+            ("labels", "0\n-1\n", r"labels must lie in \[0, k\)"),
+            ("labels", "\n 2\n  \n0\n", [2, 0]),
+            ("matrix", "1_0,2\n", "could not convert string '1_0'"),
+            ("matrix", "1,2\n3\n", "number of columns changed"),
+            ("matrix", "3.0,1\n  \n2,4e-1\n", [[3.0, 1.0], [2.0, 0.4]]),
+        ],
+    )
+    def test_label_and_matrix_parse_table(self, tmp_path, kind, text, expected):
+        """Label and matrix files parse their numbers as edge lists do, so ``1_0``,
+        which ``int()`` and ``float()`` read as 10, and a fractional label are
+        refused; blank lines are skipped, and every error names the file."""
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(text)
+        read = graphio.read_labels if kind == "labels" else graphio.read_matrix_csv
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected) as err:
+                read(path)
+            assert str(path) in str(err.value)
+            return
+        got = read(path)
+        assert np.array_equal(got.values if kind == "labels" else got, expected)
+
     def test_label_and_matrix_files_refuse_empty_or_flat_input(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("\n  \n")
