@@ -13,7 +13,7 @@ import numpy as np
 from .initplans import labels_to_plan
 from .losses import CompositeLoss, CostKernel, TransportPlan, _checked_kernel, make_loss
 from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
-from .solver import _fw_core, _kernel_elbo, _stalled
+from .solver import _checked_resp, _elbo, _fw_core, _refit, _stalled
 
 #: Hard cap on k**n for the exhaustive routines.
 ENUMERATION_CAP = 10_000_000
@@ -54,7 +54,8 @@ def _m_step(kernel: CostKernel, resp: np.ndarray):
     w = resp.mean(axis=0)
     w = np.maximum(w, ALPHA_FLOOR)
     props = Proportions(w / w.sum())
-    return props, kernel.connectivity(resp)
+    conn, quad = _refit(kernel.pair_summaries(resp), kernel.loss, 0.0)
+    return props, conn, _elbo(quad, resp, props)
 
 
 def vem_fit(
@@ -69,21 +70,19 @@ def vem_fit(
     of its edges), row-normalizes, and damps the update by one half;
     sweeps stop when the mean absolute change drops below 1e-6 or after
     50 sweeps.  The M-step sets proportions to cluster means (floored at
-    1e-8 and renormalized if a cluster empties) and connectivity cells to
-    pair-weighted edge frequencies.  Outer iterations stop when the ELBO's
+    1e-8 and renormalized if a cluster empties); the connectivity (pair-weighted
+    edge frequencies) and the bound come from one pair-summary pass through the
+    solver's closed-form refit.  Outer iterations stop when the ELBO's
     relative change falls below ``VEM_REL_TOL`` or after ``VEM_MAX_ITERS``.
     """
     # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
     from scipy.special import logsumexp
 
-    resp = np.array(resp0, dtype=np.float64)
-    if resp.ndim != 2 or resp.shape[1] != k:
+    resp = _checked_resp(np.array(resp0, dtype=np.float64))
+    if resp.shape[1] != k:
         raise ValueError("responsibilities must be n x k")
-    if np.any(resp < 0.0) or np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-8:
-        raise ValueError("responsibility rows must be probability vectors")
     kernel = _checked_kernel(adj, make_loss("bernoulli_nll"), resp)[0]
-    props, conn = _m_step(kernel, resp)
-    elbo = _kernel_elbo(kernel, resp, conn, props)
+    props, conn, elbo = _m_step(kernel, resp)
     history = [elbo]
     for _ in range(VEM_MAX_ITERS):
         theta = conn.raw  # a closed-form connectivity is already clamped
@@ -97,12 +96,9 @@ def vem_fit(
             resp = new
             if delta < 1e-6:
                 break
-        props, conn = _m_step(kernel, resp)
-        new_elbo = _kernel_elbo(kernel, resp, conn, props)
-        history.append(new_elbo)
-        done = _stalled(elbo, new_elbo, VEM_REL_TOL)
-        elbo = new_elbo
-        if done:
+        props, conn, elbo = _m_step(kernel, resp)
+        history.append(elbo)
+        if _stalled(history[-2], elbo, VEM_REL_TOL):
             break
     return VemState(resp, conn, props, elbo, history)
 

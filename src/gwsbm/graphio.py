@@ -111,8 +111,8 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     Blank lines are skipped, and the edges may come in any order, a
     repeated edge stored once (:func:`gwsbm.sbm.adjacency_from_edges`).  Any
     malformed input raises ``ValueError`` naming the file and, where there
-    is one, the first faulty line.  The body streams from the file into
-    ``np.loadtxt``; only a faulty file is read a second time, for the message.
+    is one, the first faulty line.  The count line and the streamed body
+    parse by ``np.loadtxt``; only a faulty file is read twice, for the message.
     The body parses to int32 pairs, which go to the builder as two column
     views, so a read peaks near 1.33 times the CSR's bytes in any order.
     A file with an index of 2**31 or more fails the parse and is named out
@@ -122,10 +122,10 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
         head = _next_line(fh)[1].lstrip().removesuffix("\n")
         if not head:
             raise ValueError(f"{path}: empty edge-list file")
-        try:
-            n = int(head)
+        try:  # the body's integer rule; a second value fails the unpacking
+            (n,) = np.loadtxt([head], dtype=np.int64, comments=None, ndmin=1).tolist()
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: node count line {head!r}: {exc}") from None
         if n < 1:
             raise ValueError(f"{path}: node count must be positive")
         start, first = _next_line(fh)

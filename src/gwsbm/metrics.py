@@ -102,9 +102,8 @@ def label_accuracy(labels_hat, labels_star) -> float:
 
 
 def _connectivity_values(conn) -> np.ndarray:
-    if isinstance(conn, ConnectivityMatrix):
-        return np.asarray(conn.raw, dtype=np.float64)
-    return np.asarray(conn, dtype=np.float64)
+    """The values of ``conn``; a raw array must pass the ``ConnectivityMatrix`` checks."""
+    return (conn if isinstance(conn, ConnectivityMatrix) else ConnectivityMatrix(conn)).raw
 
 
 def _pad(theta: np.ndarray, k: int) -> np.ndarray:

@@ -352,6 +352,16 @@ def bcd_fit(
     )
 
 
+def _checked_resp(resp) -> np.ndarray:
+    """``resp`` as floats, checked 2-d and nonnegative with rows summing to 1 within 1e-8."""
+    resp = np.asarray(resp, dtype=np.float64)
+    if resp.ndim != 2:
+        raise ValueError("responsibilities must be 2-d")
+    if np.any(resp < 0.0) or np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-8:
+        raise ValueError("responsibility rows must be probability vectors")
+    return resp
+
+
 def elbo_value(resp, adj, conn: ConnectivityMatrix, props: Proportions) -> float:
     """Evidence lower bound of the Bernoulli block model.
 
@@ -360,25 +370,20 @@ def elbo_value(resp, adj, conn: ConnectivityMatrix, props: Proportions) -> float
     no self pairs) plus the assignment entropy plus the expected log prior
     under ``props``.  The convention 0 log 0 = 0 applies throughout.
     """
-    resp = np.asarray(resp, dtype=np.float64)
-    if resp.ndim != 2:
-        raise ValueError("responsibilities must be 2-d")
-    if np.any(resp < 0.0) or np.max(np.abs(resp.sum(axis=1) - 1.0)) > 1e-8:
-        raise ValueError("responsibility rows must be probability vectors")
+    resp = _checked_resp(resp)
     if resp.shape[1] != props.k or resp.shape[1] != conn.k:
         raise ValueError("responsibilities, proportions and connectivity disagree on k")
     if np.any((props.weights == 0.0) & (resp.sum(axis=0) > 0.0)):
         raise ValueError("a cluster with zero prior mass carries responsibility")
-    kernel = _checked_kernel(adj, make_loss("bernoulli_nll"), resp, conn)[0]
-    return _kernel_elbo(kernel, resp, conn, props)
+    kernel, _, theta = _checked_kernel(adj, make_loss("bernoulli_nll"), resp, conn)
+    return _elbo(kernel.objective(resp, theta), resp, props)
 
 
-def _kernel_elbo(kernel: CostKernel, resp: np.ndarray, conn: ConnectivityMatrix, props: Proportions) -> float:
-    """:func:`elbo_value` of responsibilities already checked, priced on a Bernoulli ``kernel``."""
+def _elbo(quad: float, resp: np.ndarray, props: Proportions) -> float:
+    """:func:`elbo_value` of checked responsibilities whose Bernoulli objective is ``quad``."""
     # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
     from scipy.special import xlogy
 
-    quad = kernel.objective(resp, kernel.loss.prepare_theta(conn))
     if not np.isfinite(quad):
         raise FloatingPointError("non-finite objective: connectivity outside loss domain?")
     entropy = -float(xlogy(resp, resp).sum())

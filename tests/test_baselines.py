@@ -43,7 +43,7 @@ class TestVariationalEm:
         resp = np.zeros((40, 2))
         resp[np.arange(40), labels.values] = 1.0
         loss = make_loss("bernoulli_nll")
-        _, got = _m_step(CostKernel(adj, loss), resp)
+        _, got, _ = _m_step(CostKernel(adj, loss), resp)
         reference = closed_form_connectivity(adj, resp / 40, loss)
         np.testing.assert_allclose(got.raw, reference.raw, atol=1e-12)
 
@@ -70,6 +70,22 @@ class TestVariationalEm:
         assert state.elbo == elbo_value(state.resp, adj, state.connectivity, state.proportions)
         exact = exact_log_likelihood(adj, state.connectivity, state.proportions)
         assert state.elbo <= exact + 1e-8
+
+    def test_one_pair_summary_pass_per_m_step(self, monkeypatch):
+        """Each M-step, the start's included, reads its responsibilities' pair
+        summaries once: θ and the bound's quadratic term share one ``A @ resp``."""
+        calls, real = [], CostKernel.pair_summaries
+
+        def counting(kernel, t):
+            calls.append(t)
+            return real(kernel, t)
+
+        monkeypatch.setattr(CostKernel, "pair_summaries", counting)
+        conn = build_scenario("assortative", 3, 0.3, 0.05)
+        adj, _ = sample_graph(conn, balanced_proportions(3), 90, seed=4)
+        state = vem_fit(adj, 3, spectral_init(adj, 3, seed=4).matrix * 90)
+        assert len(state.elbo_history) > 2
+        assert len(calls) == len(state.elbo_history)
 
     def test_bad_responsibilities_rejected(self):
         adj = one_edge_pair()

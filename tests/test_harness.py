@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -909,6 +910,17 @@ class TestCli:
     def test_unknown_subcommand_exit_code(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_console_script_is_main(self, monkeypatch, capsys):
+        """pyproject's ``gwsbm`` script names ``cli.main``, which exits with the
+        dispatch code of ``sys.argv``."""
+        pyproject = (README.parent / "pyproject.toml").read_text()
+        assert re.search(r'^gwsbm = "gwsbm\.cli:main"$', pyproject, re.MULTILINE)
+        monkeypatch.setattr(sys, "argv", ["gwsbm", "selftest"])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 0
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_selftest_passes_and_prints_stably(self):
         """Two interpreter runs must emit byte-identical reports."""

@@ -209,6 +209,21 @@ class TestConnectivityError:
         )
         assert err == pytest.approx(np.sqrt(squares), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_refuses_non_finite_connectivity(self, k):
+        """A raw NaN connectivity is refused on either side, whether exhaustive
+        (k <= 8) or matched alignment would score it; it used to score inf at
+        k = 2 and nan at k = 10."""
+        z, nan = np.arange(k), np.full((k, k), np.nan)
+        for args in ((nan, np.eye(k)), (ConnectivityMatrix(np.eye(k)), nan)):
+            with pytest.raises(ValueError, match="connectivity entries must be finite"):
+                connectivity_error(*args, z, z)
+
+    def test_refuses_asymmetric_raw_connectivity(self):
+        z = np.array([0, 1])
+        with pytest.raises(ValueError, match="connectivity must be symmetric"):
+            connectivity_error(np.array([[0.5, 0.1], [0.2, 0.5]]), np.eye(2), z, z)
+
     def test_invariant_to_joint_relabeling(self):
         rng = np.random.default_rng(1)
         theta_star = rng.uniform(0.1, 0.9, (3, 3))

@@ -426,6 +426,9 @@ class TestGraphIO:
             ("4\n0 1\n\n 2 9 \n", r"edge \(2, 9\) out of range for n=4"),
             ("3\n\n  \n", []),
             ("3\n0 4294967296\n", r"edge \(0, 4294967296\) out of range for n=3"),
+            ("1_0\n0 1\n", "1_0"),
+            ("٣\n0 1\n", "٣"),
+            ("+3\n0 1\n", [(0, 1)]),
         ],
     )
     @pytest.mark.filterwarnings("error")

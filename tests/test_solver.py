@@ -469,6 +469,28 @@ class TestClusterMerges:
         assert np.array_equal(out_conn.raw, conn2.raw)
         assert out_pen == pytest.approx(after, abs=1e-12)
 
+    def test_merge_refused_when_fresh_summaries_do_not_beat_the_score(self, monkeypatch):
+        """The best candidate is formed as a plan and re-scored from its own
+        summaries; when those do not strictly beat ``pen`` (here they are the
+        start's, scoring ``pen`` exactly), the step returns its own four inputs."""
+        adj, t = self.make_split_state()
+        loss = make_loss("bernoulli_nll")
+        kernel = CostKernel(adj, loss)
+        lam = 3 / 120
+        summ = kernel.pair_summaries(t)
+        conn, pen = solver._refit(summ, loss, lam)
+        formed = []
+
+        def rescore(merged):
+            assert not formed, "a refused merge was formed again"
+            formed.append(merged)
+            return summ
+
+        monkeypatch.setattr(kernel, "pair_summaries", rescore)
+        out, out_summ, out_conn, out_pen = _merge_step(kernel, t, summ, conn, pen, sparsity=lam)
+        assert len(formed) == 1 and selected_k(TransportPlan(formed[0])) == 2
+        assert out is t and out_summ is summ and out_conn is conn and out_pen == pen
+
     def test_merge_is_noop_without_penalty(self):
         adj, t = self.make_split_state()
         loss = make_loss("bernoulli_nll")
