@@ -12,7 +12,7 @@ import numpy as np
 
 from .initplans import labels_to_plan
 from .losses import CompositeLoss, CostKernel, TransportPlan, _checked_kernel, make_loss
-from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions
+from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions, _as
 from .solver import _checked_resp, _elbo, _fw_core, _refit, _stalled
 
 #: Hard cap on k**n for the exhaustive routines.
@@ -123,18 +123,20 @@ def exact_log_likelihood(adj: AdjacencyMatrix, conn: ConnectivityMatrix, props: 
     """Exact marginal log-likelihood by summing over all hard assignments.
 
     Uses log-sum-exp over the k**n assignment vectors; refuses instances
-    where that count exceeds 1e7.  Connectivity values are clamped by the
-    Bernoulli loss so the edge terms stay finite.
+    where that count exceeds 1e7.  ``adj`` and ``props`` may be raw arrays;
+    ``conn`` goes to the Bernoulli loss's ``prepare_theta``, which clamps a
+    ``ConnectivityMatrix`` and takes a raw array already inside (0, 1), so
+    the edge terms stay finite.
     """
     # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
     from scipy.special import logsumexp
 
-    n = adj.n
-    k = conn.k
+    adj, props = _as(AdjacencyMatrix, adj), _as(Proportions, props)
+    theta = make_loss("bernoulli_nll").prepare_theta(conn)
+    n, k = adj.n, theta.shape[0]
     if props.k != k:
         raise ValueError("connectivity and proportions disagree on k")
     labelings = _labelings(n, k)
-    theta = make_loss("bernoulli_nll").prepare_theta(conn)
     logp1 = np.log(theta)
     logp0 = np.log1p(-theta)
     with np.errstate(divide="ignore"):
@@ -162,8 +164,9 @@ def sup_log_likelihood(
     up to three clusters), then refines with one golden-section search
     along the most promising vertex direction.  The result is a certified
     lower bound on the supremum that is tight to ~1e-6 for two clusters.
+    ``adj`` and ``conn`` may be raw arrays, read as in :func:`exact_log_likelihood`.
     """
-    k = conn.k
+    adj, k = _as(AdjacencyMatrix, adj), _as(ConnectivityMatrix, conn).k
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     if k == 1:
@@ -260,6 +263,7 @@ def brute_force_srgw(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> tuple[f
     attaining it.  Soft plans can do no better, so this is the exact
     semi-relaxed Gromov-Wasserstein value whenever a hard minimizer exists.
     """
+    adj = _as(AdjacencyMatrix, adj)
     n = adj.n
     theta = loss.prepare_theta(conn)
     k = theta.shape[0]
@@ -290,6 +294,7 @@ def restarted_fw_minimum(adj: AdjacencyMatrix, loss: CompositeLoss, conn) -> flo
     is the optimum it should reach.  Every start shares one cost kernel, and
     each result is checked as a plan and priced from its pair summaries.
     """
+    adj = _as(AdjacencyMatrix, adj)
     n = adj.n
     theta = loss.prepare_theta(conn)
     k = theta.shape[0]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sbm import AdjacencyMatrix, Labels, adjacency_from_edges
+from .sbm import AdjacencyMatrix, Labels, _as, adjacency_from_edges
 
 
 #: CSR entries formatted per write by :func:`write_edge_list`.  A chunk's
@@ -42,7 +42,8 @@ def _atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
 
 
 def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
-    """Write a 0/1 graph as an edge list; a weighted graph raises ``ValueError``.
+    """Write a 0/1 graph, an ``AdjacencyMatrix`` or a raw array it accepts, as an
+    edge list; a weighted graph raises ``ValueError``.
 
     The text is formatted in numpy, one chunk of CSR entries at a time: the
     chunk's upper-triangle pairs gather their endpoints from a table of
@@ -50,6 +51,7 @@ def write_edge_list(adj: AdjacencyMatrix, path: str | Path) -> None:
     width in bytes), into fixed-width ``"i j\\n"`` records, and dropping the
     NUL bytes leaves the chunk's lines.
     """
+    adj = _as(AdjacencyMatrix, adj)
     if np.any(adj.data != 1.0):
         raise ValueError("edge lists hold 0/1 graphs only; this graph has weighted edges")
     indptr, indices = adj.indptr, adj.indices

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import TransportPlan
-from .sbm import AdjacencyMatrix, Labels
+from .sbm import AdjacencyMatrix, Labels, _as
 
 #: Graphs at least this large use the randomized eigensolver.  Smaller ones
 #: take exact eigenvectors (ARPACK Lanczos, dense ``eigh`` as its fallback):
@@ -56,11 +56,14 @@ def labels_to_plan(labels: Labels, k: int | None = None) -> TransportPlan:
 
 def uniform_plan(n: int, k: int) -> TransportPlan:
     """Plan spreading every row's mass evenly over all clusters."""
+    if n < 1 or k < 1:
+        raise ValueError(f"a plan needs n >= 1 and k >= 1, got n={n}, k={k}")
     return TransportPlan(np.full((n, k), 1.0 / (n * k)))
 
 
 def blend_plan(plan: TransportPlan) -> TransportPlan:
     """Mix a plan with ``BLEND_EPS`` of the uniform plan; keeps rows feasible exactly."""
+    plan = _as(TransportPlan, plan)
     n, k = plan.n, plan.k
     return TransportPlan((1.0 - BLEND_EPS) * plan.matrix + BLEND_EPS / (n * k))
 
@@ -199,6 +202,7 @@ def spectral_init(adj: AdjacencyMatrix, k: int, seed: int) -> TransportPlan:
     is blended with a small uniform component so every cluster keeps a
     strictly positive starting mass.
     """
+    adj = _as(AdjacencyMatrix, adj)
     n = adj.n
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sbm import AdjacencyMatrix, ConnectivityMatrix
+from .sbm import AdjacencyMatrix, ConnectivityMatrix, _as
 
 #: Margin that keeps connectivity entries away from {0, 1} so that
 #: log-based losses stay finite.
@@ -227,8 +227,7 @@ class CostKernel:
     """
 
     def __init__(self, adj, loss: CompositeLoss):
-        if not isinstance(adj, AdjacencyMatrix):
-            adj = AdjacencyMatrix(adj)
+        adj = _as(AdjacencyMatrix, adj)
         # Imported here: scipy.sparse costs ~0.2 s to load and only products need it.
         from scipy import sparse
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .initplans import labels_to_plan
 from .losses import _plan_matrix
-from .sbm import ConnectivityMatrix, Labels
+from .sbm import ConnectivityMatrix, Labels, _as
 
 #: Clusters with mass above this threshold count as selected.
 MASS_TOL = 1e-6
@@ -101,11 +101,6 @@ def label_accuracy(labels_hat, labels_star) -> float:
     return float(np.count_nonzero(match[a] == b)) / a.size
 
 
-def _connectivity_values(conn) -> np.ndarray:
-    """The values of ``conn``; a raw array must pass the ``ConnectivityMatrix`` checks."""
-    return (conn if isinstance(conn, ConnectivityMatrix) else ConnectivityMatrix(conn)).raw
-
-
 def _pad(theta: np.ndarray, k: int) -> np.ndarray:
     return np.pad(theta, (0, k - theta.shape[0]), constant_values=PAD_VALUE)
 
@@ -120,9 +115,12 @@ def connectivity_error(conn_hat, conn_star, labels_hat, labels_star) -> float:
     exhaustively; beyond that it comes from a maximum-agreement matching
     of the two label vectors.
     """
-    theta_hat = _connectivity_values(conn_hat)
-    theta_star = _connectivity_values(conn_star)
+    theta_hat = _as(ConnectivityMatrix, conn_hat).raw
+    theta_star = _as(ConnectivityMatrix, conn_star).raw
     z_hat, z_star = _partitions(labels_hat, labels_star)
+    for side, z, theta in (("labels_hat", z_hat, theta_hat), ("labels_star", z_star, theta_star)):
+        if z.max() >= len(theta):
+            raise ValueError(f"{side} uses cluster {z.max()} of a {len(theta)}-cluster connectivity")
     active, z_hat = np.unique(z_hat, return_inverse=True)
     theta_hat = theta_hat[np.ix_(active, active)]
     k = max(theta_hat.shape[0], theta_star.shape[0])

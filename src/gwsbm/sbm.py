@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _as(kind: type, value):
+    """``value`` if it is a ``kind``, else ``kind(value)``, whose constructor checks it."""
+    return value if isinstance(value, kind) else kind(value)
 
 
 def _freeze(adj: AdjacencyMatrix, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
@@ -216,9 +222,13 @@ class Labels:
         if arr.ndim != 1:
             raise ValueError("labels must be a vector")
         if not np.issubdtype(arr.dtype, np.integer):
-            if not np.array_equal(arr, arr.astype(np.int64)):
+            # NaN, infinities and floats past int64 are refused before the cast, which warns on them
+            castable = not np.issubdtype(arr.dtype, np.inexact) or np.all(np.abs(arr) < 2.0**63)
+            if not (castable and np.array_equal(arr, arr.astype(np.int64))):
                 raise ValueError("labels must be integers")
         arr = arr.astype(np.int64)
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"label range k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("label range k must be positive")
         if arr.size and (arr.min() < 0 or arr.max() >= self.k):
@@ -309,6 +319,7 @@ def sample_graph(
     narrowed to the CSR's index dtype, go to :func:`adjacency_from_edges`,
     so sampling peaks near 1.4 times the CSR's bytes.
     """
+    conn, props = _as(ConnectivityMatrix, conn), _as(Proportions, props)
     if conn.k != props.k:
         raise ValueError("connectivity and proportions disagree on k")
     if n < 2:
@@ -345,6 +356,7 @@ def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:
 
     Cells with no supporting node pair are reported as ``nan``.
     """
+    adj = _as(AdjacencyMatrix, adj)
     if labels.n != adj.n:
         raise ValueError("labels and adjacency disagree on n")
     k = labels.k

@@ -64,7 +64,7 @@ from .losses import (
     theta_from_summaries,
 )
 from .metrics import hard_labels, selected_k
-from .sbm import ConnectivityMatrix, Labels, Proportions
+from .sbm import ConnectivityMatrix, Labels, Proportions, _as
 
 
 class SolverError(RuntimeError):
@@ -243,11 +243,6 @@ def _fw_core(
     return t
 
 
-def _feasible(plan0) -> TransportPlan:
-    """``plan0`` as a plan: a raw array must pass the ``TransportPlan`` checks."""
-    return plan0 if isinstance(plan0, TransportPlan) else TransportPlan(plan0)
-
-
 def fw_solve(adj, loss: CompositeLoss, conn, plan0: TransportPlan) -> TransportPlan:
     """Minimize the objective at fixed connectivity from a feasible start.
 
@@ -255,7 +250,7 @@ def fw_solve(adj, loss: CompositeLoss, conn, plan0: TransportPlan) -> TransportP
     returns without penalty.  Ties in the row-wise oracle resolve to the
     lowest cluster index, so runs are deterministic.
     """
-    kernel, t0, theta = _checked_kernel(adj, loss, _feasible(plan0), conn)
+    kernel, t0, theta = _checked_kernel(adj, loss, _as(TransportPlan, plan0), conn)
     return TransportPlan(_fw_core(kernel, theta, t0, np.zeros(t0.shape[1])))
 
 
@@ -301,7 +296,7 @@ def mm_solve(
     sparsity = _check_sparsity(sparsity)
     if not sparsity:
         return fw_solve(adj, loss, conn, plan0)
-    kernel, t0, theta = _checked_kernel(adj, loss, _feasible(plan0), conn)
+    kernel, t0, theta = _checked_kernel(adj, loss, _as(TransportPlan, plan0), conn)
     return TransportPlan(_mm_core(kernel, theta, t0, kernel.pair_summaries(t0), sparsity)[0])
 
 
@@ -324,7 +319,7 @@ def bcd_fit(
     """
     sparsity = _check_sparsity(sparsity)
     start = time.perf_counter()
-    kernel, t, _ = _checked_kernel(adj, loss, _feasible(plan0))
+    kernel, t, _ = _checked_kernel(adj, loss, _as(TransportPlan, plan0))
     history: list[float] = []
     summ = kernel.pair_summaries(t)
     conn, _ = _refit(summ, loss, sparsity)
@@ -369,13 +364,18 @@ def elbo_value(resp, adj, conn: ConnectivityMatrix, props: Proportions) -> float
     is the expected edge log-likelihood (each unordered pair counted once,
     no self pairs) plus the assignment entropy plus the expected log prior
     under ``props``.  The convention 0 log 0 = 0 applies throughout.
+    ``adj`` and ``props`` may be raw arrays; ``conn`` goes to the Bernoulli
+    loss's ``prepare_theta``, which clamps a ``ConnectivityMatrix`` and takes
+    a raw array already inside (0, 1).
     """
-    resp = _checked_resp(resp)
-    if resp.shape[1] != props.k or resp.shape[1] != conn.k:
+    resp, props = _checked_resp(resp), _as(Proportions, props)
+    loss = make_loss("bernoulli_nll")
+    theta = loss.prepare_theta(conn)
+    if resp.shape[1] != props.k or resp.shape[1] != theta.shape[0]:
         raise ValueError("responsibilities, proportions and connectivity disagree on k")
     if np.any((props.weights == 0.0) & (resp.sum(axis=0) > 0.0)):
         raise ValueError("a cluster with zero prior mass carries responsibility")
-    kernel, _, theta = _checked_kernel(adj, make_loss("bernoulli_nll"), resp, conn)
+    kernel = _checked_kernel(adj, loss, resp)[0]
     return _elbo(kernel.objective(resp, theta), resp, props)
 
 

@@ -51,6 +51,13 @@ def test_uniform_plan_feasible():
     np.testing.assert_allclose(plan.matrix.sum(axis=1), np.full(7, 1 / 7))
 
 
+@pytest.mark.parametrize("n, k", [(0, 3), (3, 0), (0, 0), (-1, 2)])
+def test_uniform_plan_refuses_an_empty_shape(n, k):
+    """Both used to raise ZeroDivisionError, and n = -1 numpy's shape error."""
+    with pytest.raises(ValueError, match="a plan needs n >= 1 and k >= 1"):
+        uniform_plan(n, k)
+
+
 def test_blend_plan_mixes_toward_uniform():
     plan = labels_to_plan(Labels(np.array([0, 0, 1]), 2))
     mixed = blend_plan(plan)

@@ -224,6 +224,18 @@ class TestConnectivityError:
         with pytest.raises(ValueError, match="connectivity must be symmetric"):
             connectivity_error(np.array([[0.5, 0.1], [0.2, 0.5]]), np.eye(2), z, z)
 
+    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("side", ["labels_hat", "labels_star"])
+    def test_refuses_labels_outside_their_connectivity(self, side, k):
+        """A label k beside a k-cluster connectivity is refused naming its side,
+        whether exhaustive (k <= 8) or matched alignment would score it; the fitted
+        side raised IndexError, and the planted one scored 0.0 unread at k = 2."""
+        theta, z = np.full((k, k), 0.3), np.arange(k)
+        wide = np.append(z[:-1], k)
+        labels = (wide, z) if side == "labels_hat" else (z, wide)
+        with pytest.raises(ValueError, match=f"{side} uses cluster {k} of a {k}-cluster connectivity"):
+            connectivity_error(theta, theta, *labels)
+
     def test_invariant_to_joint_relabeling(self):
         rng = np.random.default_rng(1)
         theta_star = rng.uniform(0.1, 0.9, (3, 3))

@@ -307,6 +307,19 @@ class TestTypeValidation:
             Labels(np.array([0]), 0)
         assert Labels(np.array([0, 1]), 2).values.dtype == np.int64
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, pytest.param(np.bool_(True), id="np.True_"), "2", None])
+    def test_label_range_must_be_an_integer(self, k):
+        """``Labels([0, 1], 2.5)`` used to keep ``k = 2.5`` and a bool passed as 1."""
+        with pytest.raises(ValueError, match="label range k must be an integer"):
+            Labels(np.array([0, 0]), k)
+        assert Labels(np.array([0, 1]), np.int64(2)).k == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_labels_refuse_uncastable_floats_before_the_cast(self, bad):
+        """The int64 cast warns on these; the check before it refuses them quietly."""
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Labels(np.array([0.0, bad]), 2)
+
     @pytest.mark.parametrize(
         "build, message",
         [
