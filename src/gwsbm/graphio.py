@@ -146,7 +146,7 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
 
 def write_labels(labels: Labels, path: str | Path) -> None:
     """Write one integer label per line."""
-    _atomic_write_text(path, "\n".join(str(int(v)) for v in labels.values) + "\n")
+    _atomic_write_text(path, "\n".join(str(int(v)) for v in _as(Labels, labels).values) + "\n")
 
 
 def _read_rows(path: str | Path, what: str, dtype, delimiter: str | None = None) -> np.ndarray:
@@ -167,7 +167,7 @@ def read_labels(path: str | Path, k: int | None = None) -> Labels:
     if rows.shape[1] != 1:
         raise ValueError(f"{path}: {rows.shape[1]} values on one line; labels go one per line")
     try:
-        return Labels(rows[:, 0], int(rows.max()) + 1 if k is None else k)
+        return Labels(rows[:, 0], k)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

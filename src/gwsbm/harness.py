@@ -86,6 +86,8 @@ class ExperimentConfig:
         for name, value in counts:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.persist_plans, bool):
+            raise ValueError(f"persist_plans must be true or false, got {self.persist_plans!r}")
         if self.n < 2 or self.k_true < 1 or self.k_search < 1:
             raise ValueError("n, k_true and k_search must be positive (n >= 2)")
         if not self.p_in_grid:

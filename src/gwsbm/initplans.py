@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import TransportPlan
-from .sbm import AdjacencyMatrix, Labels, _as
+from .sbm import AdjacencyMatrix, Labels, _as, _integer
 
 #: Graphs at least this large use the randomized eigensolver.  Smaller ones
 #: take exact eigenvectors (ARPACK Lanczos, dense ``eigh`` as its fallback):
@@ -44,6 +44,7 @@ KMEANS_MAX_ITERS = 100
 
 def labels_to_plan(labels: Labels, k: int | None = None) -> TransportPlan:
     """Hard assignment plan: row i puts its full 1/n mass on labels[i]."""
+    labels = _as(Labels, labels)
     if k is None:
         k = labels.k
     if k < labels.k:
@@ -147,7 +148,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Labels:
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty 2-d array")
     n = points.shape[0]
-    if not 1 <= k <= n:
+    if not 1 <= _integer(k, "k") <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     root = np.random.SeedSequence(seed)
     best_labels = None
@@ -204,7 +205,7 @@ def spectral_init(adj: AdjacencyMatrix, k: int, seed: int) -> TransportPlan:
     """
     adj = _as(AdjacencyMatrix, adj)
     n = adj.n
-    if not 1 <= k <= n:
+    if not 1 <= _integer(k, "k") <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     vecs = _top_abs_eigvecs(adj.csr, k, seed)
     labels = kmeans(vecs, k, seed)

@@ -20,20 +20,9 @@ EXHAUSTIVE_K = 8
 PAD_VALUE = 0.5
 
 
-def _label_values(labels) -> np.ndarray:
-    if isinstance(labels, Labels):
-        return labels.values
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("labels must be a vector of integers")
-    if arr.size and arr.min() < 0:
-        raise ValueError("labels must be nonnegative")
-    return arr.astype(np.int64)
-
-
 def _partitions(labels_a, labels_b) -> tuple[np.ndarray, np.ndarray]:
     """The label values of two partitions, checked to label the same nonempty set of nodes."""
-    a, b = _label_values(labels_a), _label_values(labels_b)
+    a, b = _as(Labels, labels_a).values, _as(Labels, labels_b).values
     if a.shape != b.shape:
         raise ValueError("partitions must label the same nodes")
     if a.size == 0:
@@ -150,13 +139,11 @@ def aligned_plan_error(plan, labels_star) -> float:
     from scipy.optimize import linear_sum_assignment
 
     t = _plan_matrix(plan)
-    z = _label_values(labels_star)
+    labels_star = _as(Labels, labels_star)
     n, k = t.shape
-    if z.size != n:
+    if labels_star.n != n:
         raise ValueError("labels and plan disagree on n")
-    if int(z.max()) >= k:
-        raise ValueError("plan has fewer clusters than the labels use")
-    target = labels_to_plan(Labels(z, k)).matrix
+    target = labels_to_plan(labels_star, k).matrix
     cost = np.abs(t[:, :, None] - target[:, None, :]).sum(axis=0)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())

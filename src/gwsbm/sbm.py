@@ -30,6 +30,13 @@ def _as(kind: type, value):
     return value if isinstance(value, kind) else kind(value)
 
 
+def _integer(value, name: str):
+    """``value`` if it is an integer and not a bool, else ``ValueError`` calling it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _freeze(adj: AdjacencyMatrix, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
     for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
         arr.setflags(write=False)
@@ -212,28 +219,33 @@ class Proportions:
 
 @dataclass(frozen=True)
 class Labels:
-    """Integer cluster assignments for the nodes of one graph."""
+    """Integer cluster assignments for the nodes of one graph.
+
+    ``values`` must have an integer dtype, so floats and bools are refused;
+    the range ``k`` defaults to one past the largest value, or 1 for none.
+    """
 
     values: np.ndarray
-    k: int
+    k: int | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values)
         if arr.ndim != 1:
             raise ValueError("labels must be a vector")
+        if not arr.size:  # plain empty lists come as float64
+            arr = np.empty(0, np.int64)
         if not np.issubdtype(arr.dtype, np.integer):
-            # NaN, infinities and floats past int64 are refused before the cast, which warns on them
-            castable = not np.issubdtype(arr.dtype, np.inexact) or np.all(np.abs(arr) < 2.0**63)
-            if not (castable and np.array_equal(arr, arr.astype(np.int64))):
-                raise ValueError("labels must be integers")
-        arr = arr.astype(np.int64)
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ValueError(f"label range k must be an integer, got {self.k!r}")
-        if self.k < 1:
+            raise ValueError("labels must be integers")
+        arr = arr.astype(np.int64)  # before the sign check: a uint64 past int64 wraps negative
+        if arr.size and arr.min() < 0:
+            raise ValueError("labels must be nonnegative")
+        k = int(arr.max(initial=0)) + 1 if self.k is None else self.k
+        if _integer(k, "label range k") < 1:
             raise ValueError("label range k must be positive")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.k):
+        if arr.size and arr.max() >= k:
             raise ValueError("labels must lie in [0, k)")
         object.__setattr__(self, "values", _readonly(arr, dtype=np.int64))
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -356,13 +368,11 @@ def block_densities(adj: AdjacencyMatrix, labels: Labels) -> np.ndarray:
 
     Cells with no supporting node pair are reported as ``nan``.
     """
-    adj = _as(AdjacencyMatrix, adj)
+    adj, labels = _as(AdjacencyMatrix, adj), _as(Labels, labels)
     if labels.n != adj.n:
         raise ValueError("labels and adjacency disagree on n")
-    k = labels.k
-    z = labels.values
-    onehot = np.zeros((adj.n, k))
-    onehot[np.arange(adj.n), z] = 1.0
+    onehot = np.zeros((adj.n, labels.k))
+    onehot[np.arange(adj.n), labels.values] = 1.0
     counts = onehot.T @ (adj.csr @ onehot)
     sizes = onehot.sum(axis=0)
     pairs = np.outer(sizes, sizes) - np.diag(sizes)

@@ -154,6 +154,17 @@ class TestConfig:
         assert f"error: {name} must be an integer" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_persist_plans_must_be_a_bool(self, tmp_path, capsys, value):
+        """A non-bool ``persist_plans`` exits 1 before anything is written; the
+        string ``"no"`` used to turn plan persistence on, being truthy."""
+        config = tiny_config(tmp_path, n=12, k_search=3, p_in_grid=[0.6], p_out=0.1, seeds=[0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config.to_dict(), "persist_plans": value}))
+        assert cli_dispatch(["experiment", "ari-sweep", "--config", str(path)]) == 1
+        assert "error: persist_plans must be true or false" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize(
         "kind, field, value, name",
         [

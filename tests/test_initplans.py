@@ -1,5 +1,7 @@
 """Starting-plan construction: k-means, spectral embedding, label plans."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -16,6 +18,7 @@ from gwsbm import (
     spectral_init,
     uniform_plan,
 )
+from gwsbm import initplans
 from gwsbm.initplans import BLEND_EPS, _lloyd, _plusplus_centers, _top_abs_eigvecs
 from gwsbm.sbm import (
     PROPORTION_KINDS,
@@ -205,6 +208,19 @@ class TestSpectralInit:
         a = AdjacencyMatrix(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             spectral_init(a, 4, seed=0)
+
+    @pytest.mark.parametrize("k", [2.0, True, pytest.param(np.float64(2.0), id="np.float64"), "2"])
+    def test_non_integer_k_refused_before_any_eigensolve(self, k, monkeypatch):
+        """``spectral_init(adj, 2.0, 0)`` used to fail inside ARPACK with a
+        ``SystemError`` and ``True`` with a ``TypeError``; both, and ``kmeans``,
+        now refuse a non-integer k with the ``Labels`` range check's rule."""
+        conn = build_scenario("assortative", 2, 0.4, 0.05)
+        adj, _ = sample_graph(conn, balanced_proportions(2), 30, seed=0)
+        monkeypatch.setattr(initplans, "_top_abs_eigvecs", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            spectral_init(adj, k, seed=0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kmeans(np.zeros((30, 2)), k, seed=0)
 
 
 def dense_eigh_plan(adj, k, seed):

@@ -1,11 +1,11 @@
 """Raw arrays read as the domain types they stand for.
 
-Every public function reads each adjacency, proportions, feasible-plan and
-loss-free connectivity argument through its type once, at entry.  A raw
-array then gives the typed call's result bit for bit, and a malformed one
-raises the type's own ``ValueError``.  A connectivity that a loss reads
-goes to ``CompositeLoss.prepare_theta`` as given, so the raw θ here lies
-inside the loss clamp, where the typed one is not clipped.
+Every public function reads each adjacency, proportions, feasible-plan,
+labels and loss-free connectivity argument through its type once, at
+entry.  A raw array then gives the typed call's result bit for bit, and a
+malformed one raises the type's own ``ValueError``.  A connectivity that a
+loss reads goes to ``CompositeLoss.prepare_theta`` as given, so the raw θ
+here lies inside the loss clamp, where the typed one is not clipped.
 """
 
 import tempfile
@@ -20,11 +20,15 @@ from gwsbm import (
     Labels,
     Proportions,
     TransportPlan,
+    aligned_plan_error,
+    ari,
     blend_plan,
     block_densities,
     brute_force_srgw,
+    connectivity_error,
     elbo_value,
     exact_log_likelihood,
+    label_accuracy,
     labels_to_plan,
     make_loss,
     restarted_fw_minimum,
@@ -32,6 +36,7 @@ from gwsbm import (
     spectral_init,
     sup_log_likelihood,
     write_edge_list,
+    write_labels,
 )
 
 N = 7
@@ -41,12 +46,14 @@ RAW = {
     "conn": np.array([[0.6, 0.1], [0.1, 0.5]]),
     "props": np.array([0.4, 0.6]),
     "plan": labels_to_plan(Labels([0, 1, 0, 1, 1, 0, 1], 2)).matrix.copy(),
+    "labels": [1, 1, 0, 0, 1, 0, 0],
 }
 TYPED = {
     "adj": AdjacencyMatrix(RAW["adj"]),
     "conn": ConnectivityMatrix(RAW["conn"]),
     "props": Proportions(RAW["props"]),
     "plan": TransportPlan(RAW["plan"]),
+    "labels": Labels(RAW["labels"], 2),
 }
 #: A malformed raw value of each kind, and the message its type refuses it with.
 MALFORMED = {
@@ -54,7 +61,10 @@ MALFORMED = {
     "conn": (np.array([[0.6, 0.1], [0.2, 0.5]]), "connectivity must be symmetric"),
     "props": (np.array([0.3, 0.6]), "proportions must sum to one"),
     "plan": (RAW["plan"] * 1.1, "plan rows must each sum to 1/n"),
+    "labels": (np.array(RAW["labels"], dtype=np.float64), "labels must be integers"),
 }
+#: The partition the scores compare the labels argument with.
+PLANTED = Labels([0, 1, 0, 1, 1, 0, 1], 2)
 RESP = np.linspace(0.2, 0.8, N)[:, None] * [1.0, -1.0] + [0.0, 1.0]
 LOSS = make_loss("bernoulli_nll")
 
@@ -63,6 +73,13 @@ def _edge_list_bytes(adj) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.txt"
         write_edge_list(adj, path)
+        return path.read_bytes()
+
+
+def _labels_bytes(labels) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        write_labels(labels, path)
         return path.read_bytes()
 
 
@@ -80,9 +97,17 @@ CALLS = {
     ("brute_force_srgw", "adj"): lambda x: brute_force_srgw(x, LOSS, TYPED["conn"]),
     ("restarted_fw_minimum", "adj"): lambda x: restarted_fw_minimum(x, LOSS, TYPED["conn"]),
     ("block_densities", "adj"): lambda x: block_densities(x, Labels([0, 1, 0, 1, 1, 0, 1], 2)),
+    ("block_densities", "labels"): lambda x: block_densities(TYPED["adj"], x),
     ("spectral_init", "adj"): lambda x: spectral_init(x, 2, seed=0),
     ("blend_plan", "plan"): blend_plan,
+    ("labels_to_plan", "labels"): labels_to_plan,
+    ("ari", "labels"): lambda x: ari(x, PLANTED),
+    ("label_accuracy", "labels"): lambda x: label_accuracy(PLANTED, x),
+    ("connectivity_error", "labels"): lambda x: connectivity_error(TYPED["conn"], TYPED["conn"], x,
+                                                                   PLANTED),
+    ("aligned_plan_error", "labels"): lambda x: aligned_plan_error(TYPED["plan"], x),
     ("write_edge_list", "adj"): _edge_list_bytes,
+    ("write_labels", "labels"): _labels_bytes,
 }
 
 

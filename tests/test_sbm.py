@@ -307,12 +307,18 @@ class TestTypeValidation:
             Labels(np.array([0]), 0)
         assert Labels(np.array([0, 1]), 2).values.dtype == np.int64
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, True, pytest.param(np.bool_(True), id="np.True_"), "2", None])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, pytest.param(np.bool_(True), id="np.True_"), "2"])
     def test_label_range_must_be_an_integer(self, k):
         """``Labels([0, 1], 2.5)`` used to keep ``k = 2.5`` and a bool passed as 1."""
         with pytest.raises(ValueError, match="label range k must be an integer"):
             Labels(np.array([0, 0]), k)
         assert Labels(np.array([0, 1]), np.int64(2)).k == 2
+
+    def test_labels_past_int64_are_refused(self):
+        """A uint64 label of 2**63 or more wraps negative as int64, so the default
+        range, taken from the values, cannot admit it."""
+        with pytest.raises(ValueError, match="labels must be nonnegative"):
+            Labels(np.array([0, 2**63], dtype=np.uint64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
     def test_labels_refuse_uncastable_floats_before_the_cast(self, bad):
@@ -544,7 +550,7 @@ class TestGraphIO:
             ("labels", "0\n1_0\n2\n", "could not convert string '1_0'"),
             ("labels", "3.0\n", "could not convert string '3.0'"),
             ("labels", "0 1\n2 0\n", "2 values on one line"),
-            ("labels", "0\n-1\n", r"labels must lie in \[0, k\)"),
+            ("labels", "0\n-1\n", "labels must be nonnegative"),
             ("labels", "\n 2\n  \n0\n", [2, 0]),
             ("matrix", "1_0,2\n", "could not convert string '1_0'"),
             ("matrix", "1,2\n3\n", "number of columns changed"),
