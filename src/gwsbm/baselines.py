@@ -12,7 +12,7 @@ import numpy as np
 
 from .initplans import labels_to_plan
 from .losses import CompositeLoss, CostKernel, TransportPlan, _checked_kernel, make_loss
-from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions, _as
+from .sbm import AdjacencyMatrix, ConnectivityMatrix, Labels, Proportions, _as, _count
 from .solver import _checked_resp, _elbo, _fw_core, _refit, _stalled
 
 #: Hard cap on k**n for the exhaustive routines.
@@ -78,6 +78,7 @@ def vem_fit(
     # Imported here: scipy.special costs ~0.3 s to load and a plain fit never needs it.
     from scipy.special import logsumexp
 
+    k = _count(k, "k")
     resp = _checked_resp(np.array(resp0, dtype=np.float64))
     if resp.shape[1] != k:
         raise ValueError("responsibilities must be n x k")
@@ -167,8 +168,7 @@ def sup_log_likelihood(
     ``adj`` and ``conn`` may be raw arrays, read as in :func:`exact_log_likelihood`.
     """
     adj, k = _as(AdjacencyMatrix, adj), _as(ConnectivityMatrix, conn).k
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
+    grid_size = _count(grid_size, "grid_size", 3)
     if k == 1:
         return exact_log_likelihood(adj, conn, Proportions(np.ones(1)))
 

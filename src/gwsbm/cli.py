@@ -110,10 +110,10 @@ def _cmd_fit(args) -> int:
             pass  # text that is no number is refused as text
         sparsity = _check_sparsity(sparsity, "lambda")
     adj = graphio.read_edge_list(args.graph)
+    plan0 = spectral_init(adj, args.k, args.seed)  # refuses a --k outside [1, n] first
     if sparsity == "auto":
         sparsity = auto_sparsity(args.k, adj.n)
     loss = make_loss(args.loss)
-    plan0 = spectral_init(adj, args.k, args.seed)
     result = bcd_fit(adj, loss, plan0, sparsity=sparsity)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

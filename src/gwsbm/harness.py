@@ -23,7 +23,9 @@ from . import graphio
 from .initplans import spectral_init
 from .losses import LOSS_KINDS, TransportPlan, make_loss
 from .metrics import aligned_plan_error, ari, connectivity_error, hard_labels, selected_k
-from .sbm import PROPORTION_KINDS, SCENARIO_KINDS, build_scenario, make_proportions, sample_graph
+from .sbm import (
+    PROPORTION_KINDS, SCENARIO_KINDS, _count, build_scenario, make_proportions, sample_graph,
+)
 from .solver import _check_sparsity, bcd_fit, fw_solve
 from .baselines import vem_fit
 
@@ -41,7 +43,7 @@ _EXTERNAL_NAMES = {"sparsity": "lambda", "sparsity_grid": "lambda_grid"}
 
 def auto_sparsity(k_search: int, n: int) -> float:
     """Default penalty strength: half the searched width per node pair."""
-    return k_search / (2.0 * n)
+    return _count(k_search, "k_search") / (2.0 * _count(n, "n"))
 
 
 @dataclass
@@ -80,24 +82,20 @@ class ExperimentConfig:
             raise ValueError(
                 f"method {self.method!r} fits loss {METHOD_LOSS[self.method]!r}, not {self.loss!r}"
             )
-        counts = [("n", self.n), ("k_true", self.k_true), ("k_search", self.k_search)]
-        counts += [(f"seeds[{i}]", v) for i, v in enumerate(self.seeds)]
-        counts += [(f"n_grid[{i}]", v) for i, v in enumerate(self.n_grid or ())]
-        for name, value in counts:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # held as plain ints, so a numpy integer count still writes to JSON
+        self.n, self.k_true = _count(self.n, "n", 2), _count(self.k_true, "k_true")
+        self.k_search = _count(self.k_search, "k_search")
+        self.seeds = [_count(v, f"seeds[{i}]", 0) for i, v in enumerate(self.seeds)]
+        if self.n_grid is not None:
+            self.n_grid = [_count(v, f"n_grid[{i}]", 2) for i, v in enumerate(self.n_grid)]
         if not isinstance(self.persist_plans, bool):
             raise ValueError(f"persist_plans must be true or false, got {self.persist_plans!r}")
-        if self.n < 2 or self.k_true < 1 or self.k_search < 1:
-            raise ValueError("n, k_true and k_search must be positive (n >= 2)")
         if not self.p_in_grid:
             raise ValueError("p_in_grid must be nonempty")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds repeat: {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be nonnegative, got {self.seeds}")
         for i, p_in in enumerate(self.p_in_grid):
             try:
                 build_scenario(self.scenario, self.k_true, p_in, self.p_out)
@@ -329,17 +327,17 @@ def _compute_cell(job) -> tuple[str, str]:
     return key, "".join(_format_row(row) + "\n" for row in cell_fn(config, key, *params))
 
 
-def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int | None) -> list:
+def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int) -> list:
     """Compute the missing cells (optionally in parallel), merge, parse back.
 
     Each cell is ``(key, cell function, params)``; the function is called
     as ``cell_fn(config, key, *params)`` and returns the cell's rows.  Two
     cells with one key (a repeated grid value, or two that agree in the
     key's 8 significant digits) would share one shard, so they are an error.
-    ``jobs`` is ``None`` (one process) or a positive worker count.
+    ``jobs`` is the worker-process count, an integer of at least 1; at 1 the
+    cells run in this process.
     """
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be a positive number of worker processes, got {jobs}")
+    jobs = _count(jobs, "jobs")
     keys = [key for key, _, _ in cells]
     repeated = sorted({key for key in keys if keys.count(key) > 1})
     if repeated:
@@ -351,7 +349,7 @@ def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int 
         if not (cells_dir / f"{key}.csv").exists()
     ]
     # the pool starts all its workers at once, so it gets no more than there are cells
-    n_jobs = min(jobs or 1, len(pending))
+    n_jobs = min(jobs, len(pending))
     with ExitStack() as stack:
         mapper = map
         if n_jobs > 1:
@@ -367,7 +365,7 @@ def _run_cells(config: ExperimentConfig, row_type: type, cells: list, jobs: int 
     return _parse_rows(config.output_path, row_type)
 
 
-def run_ari_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[ResultRow]:
+def run_ari_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Sweep the within-cluster rate grid and fit every seed of every cell."""
     config.validate()
     if config.k_search > config.n:
@@ -380,7 +378,7 @@ def run_ari_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[Res
     return _run_cells(config, ResultRow, cells, jobs)
 
 
-def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[ResultRow]:
+def run_lambda_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Sweep penalty strengths at a fixed within-cluster rate."""
     config.validate()
     if not config.sparsity_grid:
@@ -395,7 +393,7 @@ def run_lambda_sweep(config: ExperimentConfig, jobs: int | None = None) -> list[
     return _run_cells(config, ResultRow, cells, jobs)
 
 
-def run_consistency(config: ExperimentConfig, jobs: int | None = None) -> list[ConsistencyRow]:
+def run_consistency(config: ExperimentConfig, jobs: int = 1) -> list[ConsistencyRow]:
     """Estimation error ladder over growing graphs, one cell per size in ``n_grid``.
 
     See :func:`_ladder_cell` for what each seed records.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import TransportPlan
-from .sbm import AdjacencyMatrix, Labels, _as, _integer
+from .sbm import AdjacencyMatrix, Labels, _as, _count
 
 #: Graphs at least this large use the randomized eigensolver.  Smaller ones
 #: take exact eigenvectors (ARPACK Lanczos, dense ``eigh`` as its fallback):
@@ -43,12 +43,13 @@ KMEANS_MAX_ITERS = 100
 
 
 def labels_to_plan(labels: Labels, k: int | None = None) -> TransportPlan:
-    """Hard assignment plan: row i puts its full 1/n mass on labels[i]."""
+    """Hard assignment plan: row i puts its full 1/n mass on labels[i].
+
+    ``k`` is the plan's cluster count, an integer at least ``labels.k``;
+    ``None`` means ``labels.k``.
+    """
     labels = _as(Labels, labels)
-    if k is None:
-        k = labels.k
-    if k < labels.k:
-        raise ValueError("target k smaller than the label range")
+    k = labels.k if k is None else _count(k, "k", labels.k)
     n = labels.n
     t = np.zeros((n, k))
     t[np.arange(n), labels.values] = 1.0 / n
@@ -56,9 +57,9 @@ def labels_to_plan(labels: Labels, k: int | None = None) -> TransportPlan:
 
 
 def uniform_plan(n: int, k: int) -> TransportPlan:
-    """Plan spreading every row's mass evenly over all clusters."""
-    if n < 1 or k < 1:
-        raise ValueError(f"a plan needs n >= 1 and k >= 1, got n={n}, k={k}")
+    """Plan spreading every row's mass evenly over all clusters; ``n`` and ``k`` are
+    integers of at least 1."""
+    n, k = _count(n, "n"), _count(k, "k")
     return TransportPlan(np.full((n, k), 1.0 / (n * k)))
 
 
@@ -143,13 +144,14 @@ def _plusplus_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> Labels:
-    """Best-of-``KMEANS_RESTARTS`` k-means clustering of the rows of ``points``."""
+    """Best-of-``KMEANS_RESTARTS`` k-means clustering of the rows of ``points``, which
+    must be finite."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty 2-d array")
-    n = points.shape[0]
-    if not 1 <= _integer(k, "k") <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    k, seed = _count(k, "k", 1, points.shape[0]), _count(seed, "seed", 0)
     root = np.random.SeedSequence(seed)
     best_labels = None
     best_inertia = np.inf
@@ -204,9 +206,7 @@ def spectral_init(adj: AdjacencyMatrix, k: int, seed: int) -> TransportPlan:
     strictly positive starting mass.
     """
     adj = _as(AdjacencyMatrix, adj)
-    n = adj.n
-    if not 1 <= _integer(k, "k") <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
+    k, seed = _count(k, "k", 1, adj.n), _count(seed, "seed", 0)
     vecs = _top_abs_eigvecs(adj.csr, k, seed)
     labels = kmeans(vecs, k, seed)
     return blend_plan(labels_to_plan(labels, k))

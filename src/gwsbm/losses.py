@@ -206,9 +206,13 @@ class TransportPlan:
 
 
 def _plan_matrix(plan) -> np.ndarray:
+    """The matrix of a ``TransportPlan``, or any n x k array as float64."""
     if isinstance(plan, TransportPlan):
         return plan.matrix
-    return np.asarray(plan, dtype=np.float64)
+    t = np.asarray(plan, dtype=np.float64)
+    if t.ndim != 2:
+        raise ValueError("plan must be a 2-d array")
+    return t
 
 
 class CostKernel:
@@ -344,9 +348,10 @@ def column_mass_penalty(plan) -> float:
     Concave in the masses: between 1 (single surviving cluster) and
     ``sqrt(k)`` (all clusters equally loaded), so smaller means sparser.
     """
-    q = _plan_matrix(plan)
-    if q.ndim == 2:
-        q = q.sum(axis=0)
+    if np.ndim(plan) == 1:  # the masses themselves
+        q = np.asarray(plan, dtype=np.float64)
+    else:
+        q = _plan_matrix(plan).sum(axis=0)
     return float(np.sum(np.sqrt(np.maximum(q, 0.0))))
 
 

@@ -30,11 +30,19 @@ def _as(kind: type, value):
     return value if isinstance(value, kind) else kind(value)
 
 
-def _integer(value, name: str):
-    """``value`` if it is an integer and not a bool, else ``ValueError`` calling it ``name``."""
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """``int(value)`` for an integer, not a bool, in ``[low, high]`` (no upper end
+    when ``high`` is ``None``), else ``ValueError`` calling it ``name``.
+
+    The one rule for counts: every node count, cluster count, seed and worker
+    count a public function takes reads through it once, at entry.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
+    return int(value)
 
 
 def _freeze(adj: AdjacencyMatrix, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
@@ -120,9 +128,7 @@ def adjacency_from_edges(n: int, i, j) -> AdjacencyMatrix:
     are wrapped without the copy and the symmetry check the
     ``AdjacencyMatrix`` constructor makes of other inputs.
     """
-    i, j = np.asarray(i), np.asarray(j)
-    if n < 1:
-        raise ValueError("a graph needs at least one node")
+    n, i, j = _count(n, "n"), np.asarray(i), np.asarray(j)
     if i.ndim != 1 or i.shape != j.shape:
         raise ValueError("edge endpoints must be two vectors of one length")
     if not i.size:  # plain empty lists come as float64
@@ -239,9 +245,7 @@ class Labels:
         arr = arr.astype(np.int64)  # before the sign check: a uint64 past int64 wraps negative
         if arr.size and arr.min() < 0:
             raise ValueError("labels must be nonnegative")
-        k = int(arr.max(initial=0)) + 1 if self.k is None else self.k
-        if _integer(k, "label range k") < 1:
-            raise ValueError("label range k must be positive")
+        k = int(arr.max(initial=0)) + 1 if self.k is None else _count(self.k, "label range k")
         if arr.size and arr.max() >= k:
             raise ValueError("labels must lie in [0, k)")
         object.__setattr__(self, "values", _readonly(arr, dtype=np.int64))
@@ -261,12 +265,9 @@ def build_scenario(kind: str, k: int, p_in: float, p_out: float) -> Connectivity
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind: {kind!r}")
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = _count(k, "k", 2 if kind == "hub" else 1)
     if not (0.0 < p_out <= p_in < 1.0):
         raise ValueError("scenario rates must satisfy 0 < p_out <= p_in < 1")
-    if kind == "hub" and k < 2:
-        raise ValueError("hub scenario needs at least two clusters")
     eye = np.eye(k)
     ones = np.ones((k, k))
     if kind == "assortative":
@@ -282,8 +283,7 @@ def build_scenario(kind: str, k: int, p_in: float, p_out: float) -> Connectivity
 
 def balanced_proportions(k: int) -> Proportions:
     """Uniform proportions over ``k`` clusters."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = _count(k, "k")
     return Proportions(np.full(k, 1.0 / k))
 
 
@@ -292,9 +292,7 @@ def unbalanced_proportions(k: int) -> Proportions:
 
     Cluster ``j`` (1-based) receives weight proportional to ``1 / j**2``.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    w = 1.0 / np.arange(1, k + 1, dtype=np.float64) ** 2
+    w = 1.0 / np.arange(1, _count(k, "k") + 1, dtype=np.float64) ** 2
     return Proportions(w / w.sum())
 
 
@@ -332,10 +330,9 @@ def sample_graph(
     so sampling peaks near 1.4 times the CSR's bytes.
     """
     conn, props = _as(ConnectivityMatrix, conn), _as(Proportions, props)
+    n, seed = _count(n, "n", 2), _count(seed, "seed", 0)
     if conn.k != props.k:
         raise ValueError("connectivity and proportions disagree on k")
-    if n < 2:
-        raise ValueError("need at least two nodes")
     p = conn.raw
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("edge probabilities must lie in [0, 1]")

@@ -205,7 +205,7 @@ class TestSupLikelihood:
     def test_grid_needs_three_points(self):
         rng = np.random.default_rng(7)
         adj = oracles.random_binary_graph(rng, 4)
-        with pytest.raises(ValueError, match="grid_size must be at least 3"):
+        with pytest.raises(ValueError, match=r"grid_size must be an integer >= 3, got 2"):
             sup_log_likelihood(adj, oracles.random_theta(rng, 2), grid_size=2)
 
 

@@ -419,7 +419,7 @@ class TestSweeps:
         config = tiny_config(tmp_path, p_in_grid=[0.3], seeds=[0], n_grid=[20],
                              sparsity_grid=[0.0])
         for run in (run_ari_sweep, run_lambda_sweep, run_consistency):
-            with pytest.raises(ValueError, match=f"positive number of worker processes, got {jobs}"):
+            with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
                 run(config, jobs=jobs)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
@@ -442,7 +442,7 @@ class TestSweeps:
 class TestCsvCodec:
     def roundtrip(self, tmp_path, rows):
         config = tiny_config(tmp_path)
-        return _run_cells(config, type(rows[0]), [("cell", lambda config, key: rows, ())], None)
+        return _run_cells(config, type(rows[0]), [("cell", lambda config, key: rows, ())], 1)
 
     def assert_same(self, got, want):
         assert type(got) is type(want)
@@ -656,7 +656,7 @@ class TestCli:
         argv = ["fit", "--graph", str(path), "--k", str(k), "--out", str(outdir)]
         assert cli_dispatch(argv) == code
         if code != 0:
-            assert "k must satisfy 1 <= k <= n" in capsys.readouterr().err
+            assert "k must be an integer in [1, " in capsys.readouterr().err
             assert not outdir.exists()
             return
         report = json.loads((outdir / "report.json").read_text())
@@ -693,7 +693,7 @@ class TestCli:
                 code = cli_dispatch(argv)
             if not 1 <= k <= n:
                 assert code == 1
-                assert "k must satisfy 1 <= k <= n" in err.getvalue()
+                assert f"k must be an integer in [1, {n}], got {k}" in err.getvalue()
                 return
             assert code == 0, err.getvalue()
             report = json.loads((outdir / "report.json").read_text())

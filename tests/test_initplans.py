@@ -57,7 +57,7 @@ def test_uniform_plan_feasible():
 @pytest.mark.parametrize("n, k", [(0, 3), (3, 0), (0, 0), (-1, 2)])
 def test_uniform_plan_refuses_an_empty_shape(n, k):
     """Both used to raise ZeroDivisionError, and n = -1 numpy's shape error."""
-    with pytest.raises(ValueError, match="a plan needs n >= 1 and k >= 1"):
+    with pytest.raises(ValueError, match=r"(n|k) must be an integer >= 1"):
         uniform_plan(n, k)
 
 
@@ -98,6 +98,18 @@ class TestKmeans:
             kmeans(points, 0, seed=0)
         with pytest.raises(ValueError):
             kmeans(points, 4, seed=0)
+
+    @pytest.mark.parametrize("bad, k", [(np.nan, 1), (np.inf, 2), (-np.inf, 2)])
+    def test_non_finite_points_refused(self, bad, k):
+        """NaN points with k=1 used to end in "labels must be a vector" (no restart
+        beats an infinite inertia), and an infinite row in k-means++'s "Probabilities
+        contain NaN" after a RuntimeWarning; both are refused before any restart."""
+        points = np.arange(8.0).reshape(4, 2)
+        points[2, 0] = bad
+        with mock.patch.object(initplans, "_plusplus_centers") as seeding:
+            with pytest.raises(ValueError, match="points must be finite"):
+                kmeans(points, k, seed=0)
+        seeding.assert_not_called()
 
     @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((0, 2))])
     def test_points_validated(self, points):

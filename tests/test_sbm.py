@@ -303,7 +303,7 @@ class TestTypeValidation:
             Labels(np.array([0.5, 1.0]), 2)
         with pytest.raises(ValueError, match="labels must be a vector"):
             Labels(np.zeros((2, 2), dtype=np.int64), 2)
-        with pytest.raises(ValueError, match="label range k must be positive"):
+        with pytest.raises(ValueError, match="label range k must be an integer >= 1, got 0"):
             Labels(np.array([0]), 0)
         assert Labels(np.array([0, 1]), 2).values.dtype == np.int64
 
@@ -331,12 +331,12 @@ class TestTypeValidation:
         [
             (lambda: AdjacencyMatrix(np.zeros((2, 3))), "adjacency matrix must be square"),
             (lambda: AdjacencyMatrix(np.zeros((0, 0))), "adjacency matrix must be nonempty"),
-            (lambda: adjacency_from_edges(0, [], []), "a graph needs at least one node"),
+            (lambda: adjacency_from_edges(0, [], []), "n must be an integer >= 1, got 0"),
             (lambda: ConnectivityMatrix(np.zeros((2, 3))), "must be square and nonempty"),
             (lambda: ConnectivityMatrix([[np.nan]]), "connectivity entries must be finite"),
             (lambda: Proportions(np.array([])), "proportions must be a nonempty vector"),
-            (lambda: balanced_proportions(0), "k must be positive"),
-            (lambda: unbalanced_proportions(0), "k must be positive"),
+            (lambda: balanced_proportions(0), "k must be an integer >= 1, got 0"),
+            (lambda: unbalanced_proportions(0), "k must be an integer >= 1, got 0"),
             (lambda: block_densities(AdjacencyMatrix(np.zeros((3, 3))), Labels(np.zeros(2, np.int64), 1)),
              "labels and adjacency disagree on n"),
         ],

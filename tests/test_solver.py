@@ -36,7 +36,7 @@ from gwsbm import (
 from gwsbm import solver
 from gwsbm.losses import CostKernel, summary_objective, theta_from_summaries
 from gwsbm.metrics import ari
-from gwsbm.sbm import Labels, balanced_proportions, build_scenario, sample_graph
+from gwsbm.sbm import Labels, adjacency_from_edges, balanced_proportions, build_scenario, sample_graph
 from gwsbm.solver import _merge_rowcol, _merge_step
 
 
@@ -748,3 +748,32 @@ class TestBoundEvaluators:
             lhs = -srgw_objective(adj, plan, theta, loss) - np.log(2.0) / n
             rhs = sup_log_likelihood(adj, theta) / n**2
             assert lhs <= rhs + 1e-6
+
+
+@pytest.mark.parametrize("n, p_in, seed", [(300, 0.3, 0), (400, 0.25, 1), (600, 0.2, 2), (600, 0.15, 3)])
+def test_bcd_fit_under_node_and_cluster_relabeling(n, p_in, seed):
+    """Relabeling the nodes (A' = P A P^T from the start P T0) gives the permuted
+    plan bit for bit; permuting T0's columns gives the same loss history and
+    partition.  The merge step pours cluster j into i < j, so which column a
+    merged cluster keeps may differ, and the partitions are compared by ARI."""
+    conn = build_scenario("assortative", 3, p_in, 0.05)
+    adj, _ = sample_graph(conn, balanced_proportions(3), n, seed)
+    plan0 = spectral_init(adj, 10, seed)
+    loss, sparsity = make_loss("bernoulli_nll"), 10 / (2.0 * n)  # lambda = auto
+    base = bcd_fit(adj, loss, plan0, sparsity=sparsity)
+
+    perm = np.random.default_rng(seed).permutation(n)
+    inv = np.argsort(perm)  # node perm[r] of A is node r of A'
+    upper = adj.csr.tocoo()
+    i, j = inv[upper.row], inv[upper.col]
+    keep = i < j
+    moved = bcd_fit(adjacency_from_edges(n, i[keep], j[keep]), loss,
+                    TransportPlan(plan0.matrix[perm]), sparsity=sparsity)
+    assert np.array_equal(moved.plan.matrix, base.plan.matrix[perm])
+    assert moved.k_hat == base.k_hat
+    np.testing.assert_allclose(moved.loss_history, base.loss_history, rtol=1e-12, atol=0)
+
+    columns = np.random.default_rng(seed).permutation(10)
+    swapped = bcd_fit(adj, loss, TransportPlan(plan0.matrix[:, columns]), sparsity=sparsity)
+    np.testing.assert_allclose(swapped.loss_history, base.loss_history, rtol=1e-12, atol=0)
+    assert ari(swapped.labels, base.labels) == 1.0
