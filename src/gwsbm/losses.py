@@ -16,8 +16,9 @@ nonzero, and one exact correction removes it.  ``f1(0) = 0`` also means
 ``f1(A)`` lives on A's nonzero entries, so :class:`CostKernel` holds A and
 ``f1(A)`` as sparse CSR arrays and one cost application takes
 O(|E| k + n k^2) time for a graph with |E| stored entries, less the
-sparse ``A @ T`` when the caller has it, as Frank-Wolfe does for its
-one-hot vertices (:meth:`CostKernel.label_sums`).
+sparse ``A @ T`` when the caller has it: Frank-Wolfe's start plan reuses
+the product its pair summaries formed, and its one-hot vertices are priced
+from neighbour-label sums without being formed (:meth:`CostKernel.label_sums`).
 
 The objective ``<cost(T), T>`` and the connectivity minimizing it at a
 fixed plan read the plan only through its pair summaries
@@ -227,7 +228,8 @@ class CostKernel:
     call then costs O(|E| k + n k^2): one sparse ``A @ T`` plus products with
     the k x k connectivity, or only the latter when ``A @ T`` is given; for
     one-hot plans it is a multiple of :meth:`label_sums`, which an update
-    carries to the next labels in O(sum of the relabelled rows' degrees).
+    carries to the next labels in O(sum of the relabelled rows' degrees), and
+    :meth:`_vertex_cost` prices such a plan from its labels alone.
     """
 
     def __init__(self, adj, loss: CompositeLoss):
@@ -251,16 +253,22 @@ class CostKernel:
         # fa's row pointers: the kept entries that precede each row of A
         indptr = np.searchsorted(kept, adj.indptr)
         self.fa = sparse.csr_array((values, adj.indices[kept], indptr), shape=self.a.shape)
+        # the read-only plan pair_summaries last read, and its A @ t
+        self._summarised = (None, None)
 
     def cost(self, t: np.ndarray, theta: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
         """Apply the cost tensor to a plan, excluding i == j terms exactly.
 
-        ``at`` is ``A @ t`` when the caller has it, however formed.  The map is
-        linear in ``t`` and, with A and ``theta`` symmetric, self-adjoint:
-        ``<cost(u), v> == <cost(v), u>``.
+        ``at`` is ``A @ t`` when the caller has it, however formed.  Without
+        it, the product :meth:`pair_summaries` last formed is reused if it was
+        formed for this same read-only array, else a fresh one is formed.  The
+        map is linear in ``t`` and, with A and ``theta`` symmetric,
+        self-adjoint: ``<cost(u), v> == <cost(v), u>``.
         """
         if at is None:
-            at = self.a @ t
+            plan, at = self._summarised
+            if plan is not t:
+                at = self.a @ t
         f2t = np.asarray(self.loss.f2(theta), dtype=np.float64)
         h2t = np.asarray(self.loss.h2(theta), dtype=np.float64)
         rows = t.sum(axis=1)
@@ -269,6 +277,41 @@ class CostKernel:
         # remove the j == i terms; with A[i, i] = 0 and f1(0) = 0 only f2's remain
         m -= t @ f2t.T
         return m
+
+    def _vertex_cost(self, theta: np.ndarray) -> Callable:
+        """``price(labels, sums, out, scratch)``: :meth:`cost` at ``theta`` of the
+        one-hot plan x putting ``unit = 1/n`` on each row's label, written into ``out``.
+
+        ``sums`` are the labels' :meth:`label_sums`, so ``unit * sums`` is
+        ``A @ x``, and x is never formed.  Each entry is ``cost(x, theta, unit *
+        sums)``'s bit for bit, by the same operations in the same order:
+        x's row sums are ``unit`` exactly, so ``fa`` meets them once, here (an
+        empty ``fa``, as for the Bernoulli and exponential losses, gives
+        ``+0.0`` in every row, and ``+0.0 + c`` is ``0.0 + c``); a column sum
+        of x adds ``unit`` once per member row in turn, so it is read from a
+        running sum by the label's count; and each entry of ``x @ f2(theta).T``
+        has one nonzero term, ``unit * f2(theta)[:, label]``, so it is gathered
+        by label.  ``f2`` and ``h2`` are evaluated once, here; ``scratch`` is an
+        n x k buffer that ``price`` overwrites.
+        """
+        n, k = self.n, theta.shape[0]
+        unit = 1.0 / n
+        f2t = np.asarray(self.loss.f2(theta), dtype=np.float64)
+        h2t = np.asarray(self.loss.h2(theta), dtype=np.float64).T
+        own = unit * f2t.T  # row l: the j == i terms of a row labelled l
+        masses = np.concatenate(([0.0], np.cumsum(np.full(n, unit))))
+        if k == 1:  # one column is a contiguous run, which numpy sums pairwise
+            masses[n] = np.full(n, unit).sum()
+        rows = (self.fa @ np.full(n, unit))[:, None] if self.fa.nnz else 0.0
+
+        def price(labels: np.ndarray, sums: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+            np.matmul(np.multiply(sums, unit, out=out), h2t, out=scratch)
+            np.add(rows, f2t @ masses[np.bincount(labels, minlength=k)], out=out)
+            out -= scratch
+            out -= np.take(own, labels, axis=0, out=scratch, mode="clip")
+            return out
+
+        return price
 
     def label_sums(
         self,
@@ -290,18 +333,25 @@ class CostKernel:
         ones, so ``W`` takes the same sequence of operations as one subtraction
         of all of them and one addition, bit for bit on any graph, in O(sum of
         their degrees) time and O(n + _SCATTER_ENTRIES) transient memory; a
-        single run is gathered once.  On an integer-valued A the float64 sums
-        are exact integers, equal to a fresh product bit for bit.
+        single run is gathered once, and unchanged labels return ``sums`` at
+        once.  On an integer-valued A the float64 sums are exact integers, equal
+        to a fresh product bit for bit.
         """
         if sums is None:
             return self.a @ np.eye(k)[labels]
         changed = np.flatnonzero(labels != old)
+        if not changed.size:
+            return sums
         lo = self.a.indptr[changed]
         degrees = self.a.indptr[changed + 1] - lo
-        # runs of whole rows: each closes at the row whose entry count so far reaches the next budget multiple
-        multiples = np.arange(_SCATTER_ENTRIES, degrees.sum(), _SCATTER_ENTRIES)
-        cuts = [-1, *np.searchsorted(np.cumsum(degrees), multiples).tolist(), changed.size - 1]
-        runs = [slice(a + 1, b + 1) for a, b in zip(cuts, cuts[1:]) if a < b]
+        ends = np.cumsum(degrees)
+        if ends[-1] <= _SCATTER_ENTRIES:
+            runs = [slice(None)]
+        else:
+            # runs of whole rows: each closes at the row whose entry count so far reaches the next budget multiple
+            multiples = np.arange(_SCATTER_ENTRIES, ends[-1], _SCATTER_ENTRIES)
+            cuts = [-1, *np.searchsorted(ends, multiples).tolist(), changed.size - 1]
+            runs = [slice(a + 1, b + 1) for a, b in zip(cuts, cuts[1:]) if a < b]
 
         def gather(run):
             counts = degrees[run]
@@ -325,11 +375,15 @@ class CostKernel:
         zero diagonal drops i == j), ``d[k, l]`` the matching pair mass, ``q``
         the cluster masses and ``f1`` is ``rows^T f1(A) rows`` for the plan's
         row sums.  Pouring cluster j into i adds row and column j of ``s`` and
-        ``d`` (and ``q[j]``) into i and keeps ``f1``.  Costs one ``A @ t``.
+        ``d`` (and ``q[j]``) into i and keeps ``f1``.  Costs one ``A @ t``,
+        which a read-only ``t`` keeps for its next :meth:`cost`.
         """
         rows = t.sum(axis=1)
         q = t.sum(axis=0)
-        s = t.T @ (self.a @ t)
+        at = self.a @ t
+        if not t.flags.writeable:  # its values cannot change before the cost reads them
+            self._summarised = (t, at)
+        s = t.T @ at
         d = np.outer(q, q) - t.T @ t
         return 0.5 * (s + s.T), 0.5 * (d + d.T), q, float(rows @ (self.fa @ rows))
 

@@ -143,6 +143,8 @@ def aligned_plan_error(plan, labels_star) -> float:
     n, k = t.shape
     if labels_star.n != n:
         raise ValueError("labels and plan disagree on n")
+    if labels_star.k > k:
+        raise ValueError(f"labels use {labels_star.k} clusters but the plan has {k}")
     target = labels_to_plan(labels_star, k).matrix
     cost = np.abs(t[:, :, None] - target[:, None, :]).sum(axis=0)
     rows, cols = linear_sum_assignment(cost)

@@ -10,10 +10,14 @@ Three nested loops:
   cost of the current plan ``t``, ``mx`` that of the oracle's vertex ``x``
   and ``d = x - t``, the objective at ``t + gamma d`` is
   ``f0 + b gamma + a gamma^2`` with ``a = <mx - m, d>`` and
-  ``b = <2 m + prices, d>``, the gradient along ``d``.  Each iteration
-  applies the cost once, to the one-hot vertex, whose ``A @ x`` comes from
-  neighbour-label sums carried from one vertex to the next
-  (:meth:`gwsbm.losses.CostKernel.label_sums`).
+  ``b = <2 m + prices, d>``, the gradient along ``d``.  The cost is applied
+  once per run, to the start plan, reusing the ``A @ t`` of its pair
+  summaries.  Each iteration then prices the one-hot vertex in closed form
+  from its labels and their neighbour-label sums, carried from one vertex
+  to the next (:meth:`gwsbm.losses.CostKernel.label_sums`), and steps in
+  buffers allocated once per run; after a full step onto the vertex, an
+  oracle that returns the same labels ends the run, since the next step
+  would be exactly zero.
 * :func:`mm_solve` adds ``sparsity * sum_k sqrt(q_k)`` on the cluster
   masses.  Each round hands Frank-Wolfe (warm-started) the penalty's tangent
   at the current plan, one price per cluster, which makes the true penalized
@@ -153,7 +157,8 @@ def _merge_step(
     ``summ`` holds the pair summaries of ``t`` and ``(conn, pen)`` their
     :func:`_refit`; the same four are returned after the last accepted
     merge.  Candidates are ranked by the :func:`_refit` score of their
-    merged summaries, so an accepted merge is a descent step.  The best one
+    merged summaries (scored without building their ``ConnectivityMatrix``),
+    so an accepted merge is a descent step.  The best one
     is formed as a plan and re-scored from its own fresh summaries before
     being accepted, which keeps the loss history non-increasing despite
     floating-point dust; those summaries serve the next pass.
@@ -164,7 +169,8 @@ def _merge_step(
         for i, j in itertools.combinations(np.flatnonzero(q > 1e-12).tolist(), 2):
             merged_q = np.delete(q + (np.arange(q.size) == i) * q[j], j)
             cand = (_merge_rowcol(s, i, j), _merge_rowcol(d, i, j), merged_q, f1)
-            gain = pen - _refit(cand, kernel.loss, sparsity)[1]
+            score = summary_objective(cand, theta_from_summaries(cand, kernel.loss), kernel.loss, sparsity)
+            gain = pen - score
             if gain > best_gain:
                 best_gain, best_pair = gain, (i, j)
         if best_pair is None:
@@ -173,6 +179,7 @@ def _merge_step(
         merged = t.copy()
         merged[:, i] += merged[:, j]
         merged[:, j] = 0.0
+        merged.setflags(write=False)  # final, so the next Frank-Wolfe run reuses its A @ t
         merged_summ = kernel.pair_summaries(merged)
         merged_conn, merged_pen = _refit(merged_summ, kernel.loss, sparsity)
         if not merged_pen < pen:
@@ -200,46 +207,59 @@ def _fw_core(
 ) -> np.ndarray:
     """Frank-Wolfe on <cost(t), t> + <prices, column masses of t> over row-constrained plans.
 
-    Applies the cost to ``t0`` and then once per iteration, to the vertex,
-    through neighbour-label sums carried from one vertex to the next.
-    Stops at the first step that leaves the plan unchanged, so it returns
-    ``t0`` itself when no step moves it.
+    Applies the cost to ``t0`` only; each iteration prices its vertex in
+    closed form (:meth:`CostKernel._vertex_cost`) and writes the gradient,
+    the direction, the vertex cost and the blended plan and cost into
+    buffers allocated once per run.  Stops at the first step that leaves the
+    plan unchanged, so it returns ``t0`` itself when no step moves it, and
+    else a read-only plan of its own.
     """
     n, k = t0.shape
     t = t0
     m = kernel.cost(t, theta)
     obj = _check_finite(float(np.vdot(m, t)) + float(prices @ t.sum(axis=0)), "a Frank-Wolfe step")
-    rows = np.arange(n)
+    vertex_cost = kernel._vertex_cost(theta)
+    row_starts = np.arange(0, n * k, k)
     unit = 1.0 / n
+    grad, d, mx = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     cols = sums = None
+    on_vertex = False  # t is the vertex of ``cols``
     for _ in range(FW_MAX_ITERS):
-        grad = 2.0 * m + prices
+        np.add(np.multiply(m, 2.0, out=grad), prices, out=grad)
         cols, old = np.argmin(grad, axis=1), cols
-        x = np.zeros_like(t)
-        x[rows, cols] = unit
+        if on_vertex and np.array_equal(cols, old):
+            break  # the oracle returns t itself, so the step would be exactly zero
+        # d = x - t for the vertex x putting unit on each row's label, at the flat indices ``vertex``
+        vertex = row_starts + cols
+        np.subtract(0.0, t, out=d)
+        d.reshape(-1)[vertex] += unit
+        b = float(np.vdot(grad, d))
         # A @ x is unit times the neighbour-label sums, which the last vertex's
         # sums give after an update over the rows whose label changed
         sums = kernel.label_sums(cols, k, sums, old)
-        mx = kernel.cost(x, theta, unit * sums)
+        mx = vertex_cost(cols, sums, mx, grad)  # grad is spent, so it serves as scratch
         # the objective along t + gamma d is exactly f0 + b gamma + a gamma^2:
         # the cost is linear in the plan and self-adjoint, so cost(d) = mx - m
-        d = x - t
-        a = float(np.vdot(mx - m, d))
-        b = float(np.vdot(grad, d))
+        a = float(np.vdot(np.subtract(mx, m, out=grad), d))
         f0 = obj
         if a > 0.0:
             gamma = min(1.0, max(0.0, -b / (2.0 * a)))
         else:
             gamma = 1.0 if a + b <= 0.0 else 0.0
-        moved = (1.0 - gamma) * t + gamma * x
+        moved = np.multiply(t, 1.0 - gamma, out=d)  # d is spent too
+        moved.reshape(-1)[vertex] += gamma * unit
         if np.array_equal(moved, t):  # a zero step, or one too small to change t
             break
-        t = moved
+        t, d = moved, (np.empty((n, k)) if t is t0 else t)
         # the cost application is linear in the plan, so blend it too
-        m = (1.0 - gamma) * m + gamma * mx
+        m *= 1.0 - gamma
+        m += np.multiply(mx, gamma, out=mx)
         obj = _check_finite((a * gamma + b) * gamma + f0, "a Frank-Wolfe step")
+        on_vertex = gamma == 1.0
         if _stalled(f0, obj, FW_REL_TOL):
             break
+    if t is not t0:
+        t.setflags(write=False)  # final, so its pair summaries' A @ t serves the next run
     return t
 
 

@@ -232,7 +232,8 @@ def test_label_sums_track_relabelings_and_price_the_vertex(instance):
     """Updated neighbour-label sums equal a fresh ``A @ onehot``, bitwise on 0/1 and
     count graphs and to 1e-12 of each row's weight on real-weighted ones, whatever
     share of the rows moved, and the vertex cost built from them is ``cost(x)`` to
-    1e-15 of the cost's magnitude."""
+    1e-15 of the cost's magnitude, and its closed-form price, which never forms x,
+    that cost bit for bit."""
     loss, adj, conn, chain = instance
     kernel = CostKernel(adj, loss)
     theta = loss.prepare_theta(conn)
@@ -252,6 +253,41 @@ def test_label_sums_track_relabelings_and_price_the_vertex(instance):
     vertex = kernel.cost(x, theta, (1.0 / n) * sums)
     bound = 1e-15 * oracles.cost_magnitude(adj.entries, x, theta, loss)
     assert np.all(np.abs(vertex - kernel.cost(x, theta)) <= bound)
+    price = kernel._vertex_cost(theta)(labels, sums, np.empty((n, k)), np.empty((n, k)))
+    assert price.tobytes() == vertex.tobytes()
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("weights", ["binary", "weighted"])
+def test_vertex_price_is_the_cost_of_the_formed_vertex_bit_for_bit(kind, weights):
+    """Frank-Wolfe prices each one-hot vertex from its labels and neighbour-label
+    sums without forming it.  Along a chain of relabellings with an empty cluster,
+    on a planted n=300 graph with 0/1 weights and with weighted edges (counts for
+    the Poisson loss, reals for the others), the price is ``cost(x, theta, sums / n)``
+    of the formed vertex bit for bit, for every loss, however many runs reuse the
+    buffers it writes into."""
+    binary, _ = sample_graph(build_scenario("assortative", 3, 0.2, 0.05), balanced_proportions(3), 300, seed=4)
+    rng = np.random.default_rng(4)
+    adj = binary
+    if weights == "weighted":
+        upper = sparse.triu(binary.csr, format="csr")
+        counts = kind == "poisson_nll"
+        upper.data = rng.integers(1, 5, upper.nnz).astype(np.float64) if counts else rng.uniform(0.2, 3.0, upper.nnz)
+        adj = AdjacencyMatrix(upper + upper.T)
+    loss = make_loss(kind)
+    kernel = CostKernel(adj, loss)
+    n, k = adj.n, 6
+    theta = loss.prepare_theta(oracles.random_theta(rng, k))
+    price = kernel._vertex_cost(theta)
+    out, scratch = np.empty((n, k)), np.empty((n, k))
+    labels = rng.integers(0, k - 1, n)  # the last cluster starts empty
+    sums = kernel.label_sums(labels, k)
+    for moved in (0, 1, 30, n):
+        old, labels = labels, labels.copy()
+        labels[rng.choice(n, moved, replace=False)] = rng.integers(0, k, moved)
+        sums = kernel.label_sums(labels, k, sums, old)
+        want = kernel.cost(np.eye(k)[labels] / n, theta, (1.0 / n) * sums)
+        assert price(labels, sums, out, scratch).tobytes() == want.tobytes()
 
 
 @given(instance=oracles.relabelings(), budget=st.integers(1, 6))

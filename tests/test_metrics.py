@@ -16,6 +16,7 @@ from gwsbm import (
     label_accuracy,
     labels_to_plan,
     selected_k,
+    uniform_plan,
 )
 
 
@@ -38,6 +39,7 @@ label_pairs = st.integers(2, 60).flatmap(
         (aligned_plan_error, (np.full((2, 2), 0.25), np.array([0, 1, 1])), "labels and plan disagree on n"),
         (aligned_plan_error, (labels_to_plan(Labels([0, 1, 2], 3)), np.array([2, 1, -1])),
          "labels must be nonnegative"),
+        (aligned_plan_error, (uniform_plan(3, 2), Labels([0, 1, 2])), "labels use 3 clusters but the plan has 2"),
         (label_accuracy, (np.array([0, 1, 2]), np.array([2, 1, -1])), "labels must be nonnegative"),
         (ari, (np.array([0, 1, 2]), np.array([2, 1, -1])), "labels must be nonnegative"),
     ],
