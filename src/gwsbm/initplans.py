@@ -80,12 +80,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     """
     n, dim = points.shape
     k = centers.shape[0]
-    rows = np.arange(n)
     history: list[float] = []
     labels = None
     sq = np.einsum("ij,ij->i", points, points)
-    flat = points.ravel()
-    columns = np.arange(dim)
+    coords = np.ascontiguousarray(points.T)  # a view of F-ordered points
+    sums = np.empty((dim, k))
     d2 = np.empty((n, k))
     for _ in range(max_iters):
         # |x|^2 - 2 x.c + |c|^2 in one buffer; scaling by -2 is exact, so this
@@ -96,7 +95,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         d2 += np.einsum("ij,ij->i", centers, centers)
         np.maximum(d2, 0.0, out=d2)
         new_labels = np.argmin(d2, axis=1)
-        best = d2[rows, new_labels]
+        best = np.take_along_axis(d2, new_labels[:, None], axis=1).ravel()
         counts = np.bincount(new_labels, minlength=k)
         if not counts.all():
             # in cluster order, so a cluster a steal empties is caught if it comes
@@ -116,11 +115,10 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
             labels = new_labels
             break
         labels = new_labels
-        # one bin per (cluster, coordinate); bincount adds each bin's rows in
-        # index order, as mean(axis=0) does
-        bins = (labels[:, None] * dim + columns).ravel()
-        sums = np.bincount(bins, weights=flat, minlength=k * dim).reshape(k, dim)
-        np.divide(sums, counts[:, None], out=centers)
+        # bincount adds each cluster's rows in index order, as mean(axis=0) does
+        for c in range(dim):
+            sums[c] = np.bincount(labels, weights=coords[c], minlength=k)
+        np.divide(sums, counts, out=centers.T)
     return labels, centers, history
 
 
@@ -128,10 +126,10 @@ def _plusplus_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     """k-means++ seeding: spread initial centers by squared distance."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    centers[0] = points[int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
     for c in range(1, k):
+        np.minimum(d2, np.sum((points - centers[c - 1]) ** 2, axis=1), out=d2)
         total = float(d2.sum())
         if total <= 0.0:
             # all remaining points coincide with a center; pick uniformly
@@ -139,7 +137,6 @@ def _plusplus_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[c] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
 
 

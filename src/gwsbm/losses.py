@@ -353,19 +353,28 @@ class CostKernel:
             cuts = [-1, *np.searchsorted(ends, multiples).tolist(), changed.size - 1]
             runs = [slice(a + 1, b + 1) for a, b in zip(cuts, cuts[1:]) if a < b]
 
-        def gather(run):
+        def gather(run, side):
+            # the run's stored entries as flat cells at the labels side[run], and their values; the
+            # index arithmetic runs in place, and the entry indices are freed before any scatter
             counts = degrees[run]
-            entries = np.arange(counts.sum()) + np.repeat(lo[run] - (np.cumsum(counts) - counts), counts)
-            cells = self.a.indices[entries].astype(np.intp) * k  # column * k passes 2**31 for large n k
+            entries = np.repeat(lo[run] - (np.cumsum(counts) - counts), counts)
+            entries += np.arange(entries.size)
+            cells = self.a.indices[entries].astype(np.intp)
+            cells *= k  # column * k passes 2**31 for large n k
+            cells += np.repeat(side[run], counts)
             return cells, self.a.data[entries]
 
-        # one run is gathered once, for both passes
-        once = gather(runs[0]) if len(runs) == 1 else None
         flat = sums.reshape(-1)  # a view: the sums this method returns are C-contiguous
+        if len(runs) == 1:
+            # one run is gathered once: its cells move from the old labels to the new ones
+            cells, values = gather(runs[0], old[changed])
+            np.subtract.at(flat, cells, values)
+            cells += np.repeat(labels[changed] - old[changed], degrees)
+            np.add.at(flat, cells, values)
+            return sums
         for scatter, side in ((np.subtract.at, old[changed]), (np.add.at, labels[changed])):
             for run in runs:
-                cells, values = once or gather(run)
-                scatter(flat, cells + np.repeat(side[run], degrees[run]), values)
+                scatter(flat, *gather(run, side))
         return sums
 
     def pair_summaries(self, t: np.ndarray) -> tuple:

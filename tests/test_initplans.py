@@ -19,7 +19,7 @@ from gwsbm import (
     uniform_plan,
 )
 from gwsbm import initplans
-from gwsbm.initplans import BLEND_EPS, _lloyd, _plusplus_centers, _top_abs_eigvecs
+from gwsbm.initplans import BLEND_EPS, RANDOMIZED_CUTOFF, _lloyd, _plusplus_centers, _top_abs_eigvecs
 from gwsbm.sbm import (
     PROPORTION_KINDS,
     SCENARIO_KINDS,
@@ -132,12 +132,14 @@ class TestKmeans:
         np.testing.assert_array_equal(fast[2], slow[2], strict=True)
         return fast
 
-    @pytest.mark.parametrize("n, k", [(60, 3), (200, 10), (500, 6)])
+    @pytest.mark.parametrize("n, k", [(60, 3), (200, 10), (500, 6), (RANDOMIZED_CUTOFF, 8)])
     def test_lloyd_bit_identical_to_oracle_on_embeddings(self, n, k):
+        """ARPACK's embeddings are F-ordered, the randomized solver's C-ordered."""
         conn = build_scenario("assortative", 3, 0.3, 0.05)
-        for seed in range(3):
+        for seed in range(3 if n < RANDOMIZED_CUTOFF else 1):
             adj, _ = sample_graph(conn, balanced_proportions(3), n, seed)
             points = _top_abs_eigvecs(adj.csr, k, seed)
+            assert points.flags.c_contiguous == (n >= RANDOMIZED_CUTOFF)
             for child in np.random.SeedSequence(seed).spawn(4):
                 centers = _plusplus_centers(points, k, np.random.default_rng(child))
                 self.assert_lloyd_matches_oracle(points, centers)
